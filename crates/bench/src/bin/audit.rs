@@ -25,6 +25,7 @@ use device::DeviceModel;
 use gates::InstructionSet;
 use qmath::RngSeed;
 use sim::{FusionPolicy, NoiseModel, PrecompiledCircuit};
+use telemetry::json::Value;
 use verify::{Diagnostic, Severity};
 
 /// One finding plus the sweep coordinates it was found at.
@@ -183,35 +184,28 @@ fn count(findings: &[Located], severity: Severity) -> usize {
         .count()
 }
 
-/// The machine-readable report, hand-rolled like the server's metrics
-/// endpoint (the vendored `serde` is marker-only).
+/// The machine-readable report: totals, then every finding tagged with its
+/// sweep coordinates.
 fn render_report(
     combinations: usize,
     errors: usize,
     warnings: usize,
     findings: &[Located],
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"combinations\": {combinations},\n"));
-    out.push_str(&format!("  \"errors\": {errors},\n"));
-    out.push_str(&format!("  \"warnings\": {warnings},\n"));
-    out.push_str("  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"set\": \"{}\", \"workload\": \"{}\", \"fusion\": \"{}\", \"phase\": \"{}\", \"finding\": {}}}",
-            f.set,
-            f.workload,
-            f.fusion,
-            f.phase,
-            f.diagnostic.to_json()
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
+    let findings = findings.iter().map(|f| {
+        Value::object([
+            ("set", Value::from(f.set.as_str())),
+            ("workload", Value::from(f.workload)),
+            ("fusion", Value::from(f.fusion)),
+            ("phase", Value::from(f.phase)),
+            ("finding", f.diagnostic.to_json()),
+        ])
+    });
+    let report = Value::object([
+        ("combinations", Value::from(combinations)),
+        ("errors", Value::from(errors)),
+        ("warnings", Value::from(warnings)),
+        ("findings", Value::Array(findings.collect())),
+    ]);
+    format!("{report:#}")
 }

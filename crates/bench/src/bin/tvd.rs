@@ -22,7 +22,8 @@ use bench::{all_depolarizing_noise, trace_sink_from_args, write_trace_or_exit};
 use circuit::{Circuit, Operation};
 use qmath::RngSeed;
 use sim::{ExecutionEngine, FusionPolicy, SimJob};
-use verify::{two_sample_tvd, Artifact, DistributionArtifact, Severity, Verifier};
+use telemetry::json::Value;
+use verify::{two_sample_tvd, Artifact, Diagnostic, DistributionArtifact, Severity, Verifier};
 
 /// The same layered shape as the statevector benches: rotation layers
 /// interleaved with CNOT chains, so `Aggressive` has channels to carry and
@@ -92,30 +93,22 @@ fn main() {
         .filter(|d| d.severity() == Severity::Error)
         .count();
 
-    println!("{{");
-    println!("  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    println!("  \"num_qubits\": {num_qubits},");
-    println!("  \"shots_per_policy\": {shots},");
-    println!("  \"fused_ops_safe\": {},", safe.report.fused_ops);
-    println!(
-        "  \"fused_ops_aggressive\": {},",
-        aggressive.report.fused_ops
-    );
-    println!("  \"observed_tvd\": {tvd:.6},");
-    println!("  \"error_findings\": {errors},");
-    println!("  \"diagnostics\": [");
-    let diags = report.diagnostics();
-    for (i, d) in diags.iter().enumerate() {
-        let comma = if i + 1 < diags.len() { "," } else { "" };
-        println!(
-            "    {{\"rule\": \"{}\", \"severity\": \"{:?}\", \"message\": \"{}\"}}{comma}",
-            d.rule(),
-            d.severity(),
-            d.message().replace('"', "'")
-        );
-    }
-    println!("  ]");
-    println!("}}");
+    let diagnostics = report.diagnostics().iter().map(Diagnostic::to_json);
+    let summary = Value::object([
+        ("mode", Value::from(if smoke { "smoke" } else { "full" })),
+        ("num_qubits", Value::from(num_qubits)),
+        ("shots_per_policy", Value::from(shots)),
+        ("fused_ops_safe", Value::from(safe.report.fused_ops)),
+        (
+            "fused_ops_aggressive",
+            Value::from(aggressive.report.fused_ops),
+        ),
+        // Six decimals: sampling noise swamps the digits beyond.
+        ("observed_tvd", Value::from((tvd * 1e6).round() / 1e6)),
+        ("error_findings", Value::from(errors)),
+        ("diagnostics", Value::Array(diagnostics.collect())),
+    ]);
+    println!("{summary:#}");
 
     write_trace_or_exit(&trace);
     if report.has_errors() {

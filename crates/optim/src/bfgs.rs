@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{dot, norm, numerical_gradient};
+use crate::{dot, norm};
 
 /// Options controlling a BFGS run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,37 +70,12 @@ pub struct OptimResult {
     pub gradient_norm: f64,
 }
 
-/// Minimizes `f` starting from `x0` using BFGS with numerical gradients.
-///
-/// The function must be smooth in the region explored; this holds for the
-/// trigonometric fidelity objectives used in gate decomposition.
-///
-/// ```
-/// use optim::{minimize_bfgs, BfgsOptions};
-/// let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-/// let r = minimize_bfgs(&sphere, &[1.0, -2.0, 3.0], &BfgsOptions::default());
-/// assert!(r.value < 1e-12);
-/// assert!(r.converged);
-/// ```
-pub fn minimize_bfgs<F>(f: &F, x0: &[f64], opts: &BfgsOptions) -> OptimResult
-where
-    F: Fn(&[f64]) -> f64 + ?Sized,
-{
-    let n = x0.len();
-    let fd_step = opts.fd_step;
-    // Each central-difference gradient costs 2n objective probes.
-    let grad = move |x: &[f64], evals: &mut usize| {
-        *evals += 2 * n;
-        numerical_gradient(f, x, fd_step)
-    };
-    minimize_with(f, &grad, x0, opts)
-}
-
 /// Minimizes `f` starting from `x0` using BFGS with the caller-supplied
 /// analytic gradient `grad`.
 ///
-/// The gradient must match `f` to finite-difference accuracy; each gradient
-/// call is counted as a single evaluation in [`OptimResult::evaluations`].
+/// The gradient must match `f` to central-difference accuracy (see
+/// [`crate::numerical_gradient`]); each gradient call is counted as a single
+/// evaluation in [`OptimResult::evaluations`].
 /// The strong-Wolfe line search still probes the objective directly, so only
 /// `f` is evaluated along the search direction.
 ///
@@ -112,25 +87,15 @@ where
 /// assert!(r.value < 1e-12);
 /// assert!(r.converged);
 /// ```
-pub fn minimize_bfgs_with_grad<F, G>(f: &F, grad: &G, x0: &[f64], opts: &BfgsOptions) -> OptimResult
+pub fn minimize_bfgs_with_grad<F, G>(
+    f: &F,
+    grad_fn: &G,
+    x0: &[f64],
+    opts: &BfgsOptions,
+) -> OptimResult
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
     G: Fn(&[f64]) -> Vec<f64> + ?Sized,
-{
-    let g = move |x: &[f64], evals: &mut usize| {
-        *evals += 1;
-        grad(x)
-    };
-    minimize_with(f, &g, x0, opts)
-}
-
-/// Shared BFGS driver, parameterized over the gradient provider. The provider
-/// receives the evaluation counter so the numerical path can bill its `2n`
-/// probes while the analytic path bills a single call.
-fn minimize_with<F, G>(f: &F, grad_fn: &G, x0: &[f64], opts: &BfgsOptions) -> OptimResult
-where
-    F: Fn(&[f64]) -> f64 + ?Sized,
-    G: Fn(&[f64], &mut usize) -> Vec<f64> + ?Sized,
 {
     let n = x0.len();
     assert!(n > 0, "cannot optimize a zero-dimensional problem");
@@ -139,10 +104,14 @@ where
         *evaluations += 1;
         f(x)
     };
+    let gradient = |x: &[f64], evaluations: &mut usize| {
+        *evaluations += 1;
+        grad_fn(x)
+    };
 
     let mut x = x0.to_vec();
     let mut fx = eval(&x, &mut evaluations);
-    let mut grad = grad_fn(&x, &mut evaluations);
+    let mut grad = gradient(&x, &mut evaluations);
 
     // Inverse Hessian approximation, initialized to the identity.
     let mut h_inv = identity(n);
@@ -184,7 +153,7 @@ where
             .zip(p.iter())
             .map(|(xi, pi)| xi + alpha * pi)
             .collect();
-        let grad_new = grad_fn(&x_new, &mut evaluations);
+        let grad_new = gradient(&x_new, &mut evaluations);
 
         // BFGS update of the inverse Hessian.
         let s: Vec<f64> = x_new.iter().zip(x.iter()).map(|(a, b)| a - b).collect();
@@ -417,11 +386,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numerical_gradient;
+
+    /// BFGS steered by the central-difference gradient oracle.
+    fn minimize_numeric(f: &dyn Fn(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> OptimResult {
+        let grad = |x: &[f64]| numerical_gradient(f, x, opts.fd_step);
+        minimize_bfgs_with_grad(f, &grad, x0, opts)
+    }
 
     #[test]
     fn minimizes_sphere() {
         let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let r = minimize_bfgs(&sphere, &[3.0, -4.0], &BfgsOptions::default());
+        let r = minimize_numeric(&sphere, &[3.0, -4.0], &BfgsOptions::default());
         assert!(r.value < 1e-10, "value = {}", r.value);
         assert!(r.converged);
     }
@@ -429,7 +405,7 @@ mod tests {
     #[test]
     fn minimizes_rosenbrock() {
         let rosen = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-        let r = minimize_bfgs(&rosen, &[-1.2, 1.0], &BfgsOptions::default());
+        let r = minimize_numeric(&rosen, &[-1.2, 1.0], &BfgsOptions::default());
         assert!(r.value < 1e-6, "value = {}", r.value);
         assert!((r.x[0] - 1.0).abs() < 1e-2);
         assert!((r.x[1] - 1.0).abs() < 1e-2);
@@ -439,14 +415,14 @@ mod tests {
     fn minimizes_trig_objective() {
         // Shaped like a decomposition-fidelity landscape.
         let f = |x: &[f64]| 1.0 - (x[0].cos() * x[1].sin()).powi(2);
-        let r = minimize_bfgs(&f, &[0.3, 1.0], &BfgsOptions::default());
+        let r = minimize_numeric(&f, &[0.3, 1.0], &BfgsOptions::default());
         assert!(r.value < 1e-8, "value = {}", r.value);
     }
 
     #[test]
     fn already_at_minimum_converges_immediately() {
         let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let r = minimize_bfgs(&sphere, &[0.0, 0.0, 0.0], &BfgsOptions::default());
+        let r = minimize_numeric(&sphere, &[0.0, 0.0, 0.0], &BfgsOptions::default());
         assert!(r.converged);
         assert!(r.iterations <= 2);
         assert!(r.value < 1e-15);
@@ -455,7 +431,7 @@ mod tests {
     #[test]
     fn fast_options_still_work() {
         let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let r = minimize_bfgs(&sphere, &[1.0, 1.0], &BfgsOptions::fast());
+        let r = minimize_numeric(&sphere, &[1.0, 1.0], &BfgsOptions::fast());
         assert!(r.value < 1e-8);
     }
 
@@ -468,7 +444,7 @@ mod tests {
                 .sum::<f64>()
         };
         let x0 = vec![0.0; 12];
-        let r = minimize_bfgs(&f, &x0, &BfgsOptions::default());
+        let r = minimize_numeric(&f, &x0, &BfgsOptions::default());
         assert!(r.value < 1e-8, "value = {}", r.value);
         for v in &r.x {
             assert!((v - 1.0).abs() < 1e-3);
@@ -479,7 +455,7 @@ mod tests {
     #[should_panic(expected = "zero-dimensional")]
     fn zero_dimensional_panics() {
         let f = |_: &[f64]| 0.0;
-        let _ = minimize_bfgs(&f, &[], &BfgsOptions::default());
+        let _ = minimize_numeric(&f, &[], &BfgsOptions::default());
     }
 
     #[test]
@@ -491,15 +467,16 @@ mod tests {
                 200.0 * (x[1] - x[0] * x[0]),
             ]
         };
-        let numeric = minimize_bfgs(&rosen, &[-1.2, 1.0], &BfgsOptions::default());
+        let numeric = minimize_numeric(&rosen, &[-1.2, 1.0], &BfgsOptions::default());
         let analytic =
             minimize_bfgs_with_grad(&rosen, &rosen_grad, &[-1.2, 1.0], &BfgsOptions::default());
         assert!(analytic.value < 1e-6, "value = {}", analytic.value);
         assert!((analytic.x[0] - 1.0).abs() < 1e-2);
         assert!((analytic.x[1] - 1.0).abs() < 1e-2);
-        // The analytic path reaches the same basin with strictly fewer
-        // objective evaluations (1 per gradient instead of 2n probes).
-        assert!(analytic.evaluations < numeric.evaluations);
+        // Both gradients steer BFGS into the same basin.
+        assert!(numeric.value < 1e-6, "value = {}", numeric.value);
+        assert!((analytic.x[0] - numeric.x[0]).abs() < 1e-2);
+        assert!((analytic.x[1] - numeric.x[1]).abs() < 1e-2);
     }
 
     #[test]

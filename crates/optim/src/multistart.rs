@@ -9,7 +9,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::bfgs::{minimize_bfgs, minimize_bfgs_with_grad, BfgsOptions, OptimResult};
+use crate::bfgs::{minimize_bfgs_with_grad, BfgsOptions, OptimResult};
 
 /// Options controlling the multistart driver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,37 +36,20 @@ impl Default for MultistartOptions {
     }
 }
 
-/// Runs BFGS from `x0` and from `restarts - 1` random perturbations of it,
-/// returning the best result found.
+/// Runs BFGS with the caller-supplied gradient from `x0` and from
+/// `restarts - 1` random perturbations of it, returning the best result found
+/// (with evaluations summed over every restart).
 ///
 /// ```
-/// use optim::{multistart_minimize, MultistartOptions};
+/// use optim::{multistart_minimize_with_grad, MultistartOptions};
 /// use rand::SeedableRng;
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 /// // A multi-modal objective where the global minimum is at x = 0.
 /// let f = |x: &[f64]| 1.0 - (x[0].cos()).powi(2) + 0.05 * x[0].abs();
-/// let r = multistart_minimize(&f, &[2.0], &MultistartOptions::default(), &mut rng);
+/// let grad = |x: &[f64]| vec![(2.0 * x[0]).sin() + 0.05 * x[0].signum()];
+/// let r = multistart_minimize_with_grad(&f, &grad, &[2.0], &MultistartOptions::default(), &mut rng);
 /// assert!(r.value < 0.2);
 /// ```
-pub fn multistart_minimize<F, R>(
-    f: &F,
-    x0: &[f64],
-    opts: &MultistartOptions,
-    rng: &mut R,
-) -> OptimResult
-where
-    F: Fn(&[f64]) -> f64 + ?Sized,
-    R: Rng + ?Sized,
-{
-    multistart_with(&|start| minimize_bfgs(f, start, &opts.bfgs), x0, opts, rng)
-}
-
-/// Like [`multistart_minimize`], but every restart runs BFGS with the
-/// caller-supplied analytic gradient instead of central differences.
-///
-/// The restart points drawn from `rng` are identical to the numerical-gradient
-/// driver for the same seed, so the two variants explore the same basins and
-/// differ only in how each descent is steered.
 pub fn multistart_minimize_with_grad<F, G, R>(
     f: &F,
     grad: &G,
@@ -77,26 +60,6 @@ pub fn multistart_minimize_with_grad<F, G, R>(
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
     G: Fn(&[f64]) -> Vec<f64> + ?Sized,
-    R: Rng + ?Sized,
-{
-    multistart_with(
-        &|start| minimize_bfgs_with_grad(f, grad, start, &opts.bfgs),
-        x0,
-        opts,
-        rng,
-    )
-}
-
-/// Shared restart loop: draws perturbed starts, runs `solve` on each, and
-/// keeps the best result with cumulative evaluation accounting.
-fn multistart_with<S, R>(
-    solve: &S,
-    x0: &[f64],
-    opts: &MultistartOptions,
-    rng: &mut R,
-) -> OptimResult
-where
-    S: Fn(&[f64]) -> OptimResult + ?Sized,
     R: Rng + ?Sized,
 {
     assert!(opts.restarts >= 1, "multistart needs at least one start");
@@ -110,7 +73,7 @@ where
                 .map(|&v| v + rng.gen_range(-opts.spread..opts.spread))
                 .collect()
         };
-        let mut result = solve(&start);
+        let mut result = minimize_bfgs_with_grad(f, grad, &start, &opts.bfgs);
         total_evals += result.evaluations;
         result.evaluations = total_evals;
         let better = best.as_ref().is_none_or(|b| result.value < b.value);
@@ -129,8 +92,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numerical_gradient;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Multistart BFGS steered by the central-difference gradient oracle.
+    fn multistart_numeric(
+        f: &dyn Fn(&[f64]) -> f64,
+        x0: &[f64],
+        opts: &MultistartOptions,
+        rng: &mut ChaCha8Rng,
+    ) -> OptimResult {
+        let grad = |x: &[f64]| numerical_gradient(f, x, opts.bfgs.fd_step);
+        multistart_minimize_with_grad(f, &grad, x0, opts, rng)
+    }
 
     #[test]
     fn finds_global_minimum_of_multimodal_function() {
@@ -142,7 +117,7 @@ mod tests {
             spread: 6.0,
             ..MultistartOptions::default()
         };
-        let r = multistart_minimize(&f, &[5.0, 1.0], &opts, &mut rng);
+        let r = multistart_numeric(&f, &[5.0, 1.0], &opts, &mut rng);
         assert!(r.value < 1e-4, "value = {}", r.value);
         assert!(r.x[0].abs() < 1e-2);
     }
@@ -160,6 +135,11 @@ mod tests {
         let r = multistart_minimize_with_grad(&f, &g, &[5.0, 1.0], &opts, &mut rng);
         assert!(r.value < 1e-4, "value = {}", r.value);
         assert!(r.x[0].abs() < 1e-2);
+        // Same seed, same restart points: the numerical oracle lands in the
+        // same basin.
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let numeric = multistart_numeric(&f, &[5.0, 1.0], &opts, &mut rng);
+        assert!((numeric.x[0] - r.x[0]).abs() < 1e-2);
     }
 
     #[test]
@@ -171,7 +151,7 @@ mod tests {
             target_value: Some(1e-6),
             ..MultistartOptions::default()
         };
-        let r = multistart_minimize(&sphere, &[1.0, 1.0], &opts, &mut rng);
+        let r = multistart_numeric(&sphere, &[1.0, 1.0], &opts, &mut rng);
         assert!(r.value <= 1e-6);
     }
 
@@ -183,8 +163,9 @@ mod tests {
             restarts: 1,
             ..MultistartOptions::default()
         };
-        let multi = multistart_minimize(&sphere, &[2.0, -3.0], &opts, &mut rng);
-        let plain = minimize_bfgs(&sphere, &[2.0, -3.0], &opts.bfgs);
+        let multi = multistart_numeric(&sphere, &[2.0, -3.0], &opts, &mut rng);
+        let grad = |x: &[f64]| numerical_gradient(&sphere, x, opts.bfgs.fd_step);
+        let plain = minimize_bfgs_with_grad(&sphere, &grad, &[2.0, -3.0], &opts.bfgs);
         assert!((multi.value - plain.value).abs() < 1e-12);
     }
 
@@ -197,6 +178,6 @@ mod tests {
             restarts: 0,
             ..MultistartOptions::default()
         };
-        let _ = multistart_minimize(&sphere, &[1.0], &opts, &mut rng);
+        let _ = multistart_numeric(&sphere, &[1.0], &opts, &mut rng);
     }
 }

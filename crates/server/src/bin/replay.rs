@@ -28,8 +28,9 @@ use apps::workloads::{qaoa_circuit, qv_circuit};
 use compiler::{Compiler, CompilerOptions};
 use device::DeviceModel;
 use qmath::RngSeed;
-use server::{JobOp, JobRequest, JobServer, ServerError, WorkloadKind};
+use server::{JobOp, JobRequest, JobServer, MetricsSnapshot, ServerError, WorkloadKind};
 use sim::{ExecutionEngine, NoiseModel, SimJob};
+use telemetry::json::Value;
 use telemetry::Collector;
 
 struct Config {
@@ -264,7 +265,7 @@ fn run_server(
     device: &DeviceModel,
     requests: &[JobRequest],
     config: &Config,
-) -> (RunStats, String, bool) {
+) -> (RunStats, MetricsSnapshot, bool) {
     // The collector is always attached; it records only when --telemetry
     // resolves to on. The disabled path is a single atomic load per span
     // site, which is what the <2% overhead acceptance bound measures.
@@ -314,13 +315,13 @@ fn run_server(
     let total = started.elapsed();
 
     let probe_isolated = matches!(probe.wait(), Err(ServerError::Panicked { .. }));
-    let metrics_json = server.metrics_json();
+    let metrics = server.metrics();
     if let Some(path) = &config.trace {
         std::fs::write(path, server.trace_json()).expect("trace path probed at arg parse time");
         println!("wrote trace {path}");
     }
     server.shutdown();
-    (stats_from(latencies, total), metrics_json, probe_isolated)
+    (stats_from(latencies, total), metrics, probe_isolated)
 }
 
 fn main() {
@@ -362,7 +363,7 @@ fn main() {
         warm.p99.as_secs_f64() * 1e6,
         warm.jobs_per_sec
     );
-    let (served, metrics_json, probe_isolated) = run_server(&device, &requests, &config);
+    let (served, metrics, probe_isolated) = run_server(&device, &requests, &config);
     println!(
         "server:       p50 {:>8.1} us  p99 {:>8.1} us  {:>6.1} jobs/s",
         served.p50.as_secs_f64() * 1e6,
@@ -395,11 +396,17 @@ fn main() {
             &served,
             speedup,
             probe_isolated,
-            &metrics_json,
+            &metrics,
         );
         std::fs::write(&path, json).expect("write benchmark output");
         println!("wrote {path}");
     }
+}
+
+/// `x` rounded to `places` decimals, so the report carries no noise digits.
+fn rounded(x: f64, places: i32) -> Value {
+    let scale = 10f64.powi(places);
+    Value::from((x * scale).round() / scale)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -412,48 +419,48 @@ fn render_json(
     served: &RunStats,
     speedup: f64,
     probe_isolated: bool,
-    metrics_json: &str,
+    metrics: &MetricsSnapshot,
 ) -> String {
     let run = |stats: &RunStats| {
-        format!(
-            "{{\"p50_us\": {:.1}, \"p99_us\": {:.1}, \"jobs_per_sec\": {:.2}}}",
-            stats.p50.as_secs_f64() * 1e6,
-            stats.p99.as_secs_f64() * 1e6,
-            stats.jobs_per_sec
-        )
+        Value::object([
+            ("p50_us", rounded(stats.p50.as_secs_f64() * 1e6, 1)),
+            ("p99_us", rounded(stats.p99.as_secs_f64() * 1e6, 1)),
+            ("jobs_per_sec", rounded(stats.jobs_per_sec, 2)),
+        ])
     };
-    let metrics_indented = metrics_json.replace('\n', "\n  ");
-    format!(
-        r#"{{
-  "description": "Replay harness for the compile-and-simulate job server (crates/server). A deterministic request mix (tenants x {{S3, G3}} x {{qv, qaoa}} x seeds, 3-qubit workloads on Aspen-8 calibration, half compile-only and half compile+64-shot simulate) is replayed three ways. serial_cold = fresh compiler and empty decomposition cache per request (a per-request CLI process). serial_warm = long-lived serial loop with one warm compiler per (tenant, set). server = JobServer with a bounded work-stealing queue, per-tenant caches and panic-isolated workers, driven closed-loop. Latencies are per-request submit-to-complete wall-clock.",
-  "config": {{"requests": {requests_len}, "distinct_requests": {distinct}, "workers": {workers}, "queue_capacity": {queue}, "tenants": {tenants}, "telemetry": {telemetry}}},
-  "serial_cold": {cold},
-  "serial_warm": {warm},
-  "server": {server},
-  "acceptance": {{
-    "criterion": "server jobs/sec beats the serial_cold job loop, and a deliberately panicking job resolves as a typed error without aborting the replay",
-    "speedup_vs_serial_cold": {speedup:.2},
-    "panic_probe_isolated": {probe_isolated},
-    "met": {met}
-  }},
-  "server_metrics": {metrics},
-  "notes": [
-    "The benchmark container exposes a single CPU core (nproc = 1), so the work-stealing pool cannot add parallel speedup here: the server's win over serial_cold comes from persistent per-tenant decomposition caches (every repeated request is a cache hit instead of a cold NuOp decomposition). On multi-core hosts cross-job scheduling stacks on top of that.",
-    "serial_warm is the upper bound for any single-threaded server; on one core the JobServer tracks it to within queueing overhead while adding admission control, tenant isolation and panic isolation.",
-    "Server latencies include queueing: the closed-loop driver keeps 2x workers jobs in flight, so on one core p99 reflects time spent waiting behind the window, not service time. jobs/sec is the like-for-like comparison with the serial loops.",
-    "The panic probe is injected mid-run via submit_task; its worker prints the standard panic message to stderr and keeps serving."
-  ]
-}}
-"#,
-        requests_len = requests.len(),
-        workers = config.workers,
-        queue = config.queue_capacity,
-        tenants = config.tenants,
-        telemetry = config.telemetry,
-        cold = run(cold),
-        warm = run(warm),
-        server = run(served),
-        met = speedup > 1.0 && probe_isolated,
-        metrics = metrics_indented,
-    )
+    let notes = [
+        "The benchmark container exposes a single CPU core (nproc = 1), so the work-stealing pool cannot add parallel speedup here: the server's win over serial_cold comes from persistent per-tenant decomposition caches (every repeated request is a cache hit instead of a cold NuOp decomposition). On multi-core hosts cross-job scheduling stacks on top of that.",
+        "serial_warm is the upper bound for any single-threaded server; on one core the JobServer tracks it to within queueing overhead while adding admission control, tenant isolation and panic isolation.",
+        "Server latencies include queueing: the closed-loop driver keeps 2x workers jobs in flight, so on one core p99 reflects time spent waiting behind the window, not service time. jobs/sec is the like-for-like comparison with the serial loops.",
+        "The panic probe is injected mid-run via submit_task; its worker prints the standard panic message to stderr and keeps serving.",
+    ];
+    let report = Value::object([
+        ("description", Value::from("Replay harness for the compile-and-simulate job server (crates/server). A deterministic request mix (tenants x {S3, G3} x {qv, qaoa} x seeds, 3-qubit workloads on Aspen-8 calibration, half compile-only and half compile+64-shot simulate) is replayed three ways. serial_cold = fresh compiler and empty decomposition cache per request (a per-request CLI process). serial_warm = long-lived serial loop with one warm compiler per (tenant, set). server = JobServer with a bounded work-stealing queue, per-tenant caches and panic-isolated workers, driven closed-loop. Latencies are per-request submit-to-complete wall-clock.")),
+        (
+            "config",
+            Value::object([
+                ("requests", Value::from(requests.len())),
+                ("distinct_requests", Value::from(distinct)),
+                ("workers", Value::from(config.workers)),
+                ("queue_capacity", Value::from(config.queue_capacity)),
+                ("tenants", Value::from(config.tenants)),
+                ("telemetry", Value::from(config.telemetry)),
+            ]),
+        ),
+        ("serial_cold", run(cold)),
+        ("serial_warm", run(warm)),
+        ("server", run(served)),
+        (
+            "acceptance",
+            Value::object([
+                ("criterion", Value::from("server jobs/sec beats the serial_cold job loop, and a deliberately panicking job resolves as a typed error without aborting the replay")),
+                ("speedup_vs_serial_cold", rounded(speedup, 2)),
+                ("panic_probe_isolated", Value::from(probe_isolated)),
+                ("met", Value::from(speedup > 1.0 && probe_isolated)),
+            ]),
+        ),
+        ("server_metrics", metrics.to_json()),
+        ("notes", Value::Array(notes.map(Value::from).to_vec())),
+    ]);
+    format!("{report:#}\n")
 }

@@ -19,8 +19,8 @@
 //!   [`ServerError::Panicked`] (carrying the original message) while the
 //!   worker thread and every other job carry on untouched.
 //! * **Wire format** ([`wire`]): requests name deterministic workloads
-//!   (tenant, instruction set, generator, qubits, seed) in flat JSON, so a
-//!   few scalars reproduce any circuit on both ends of the wire.
+//!   (tenant, instruction set, generator, qubits, seed) as one JSON object,
+//!   so a few scalars reproduce any circuit on both ends of the wire.
 //! * **Metrics endpoint** ([`metrics`]): [`JobServer::metrics_json`] serves
 //!   queue depth, completion/failure/panic counts, compile and simulate
 //!   wall-clock, per-stage latency quantiles (p50/p90/p99 for queue wait,

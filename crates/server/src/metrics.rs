@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use sim::FusionPolicy;
+use telemetry::json::Value;
 
 /// Monotonic counters updated by the admission path and the workers. All
 /// updates are relaxed atomics: metrics tolerate being a moment stale, they
@@ -223,75 +224,63 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Renders the snapshot as JSON — the body a `/metrics` route would
-    /// serve. Hand-rolled for the same reason as the wire codec (the vendored
-    /// `serde` is marker-only).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"submitted\": {},\n", self.submitted));
-        out.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("  \"completed\": {},\n", self.completed));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed));
-        out.push_str(&format!("  \"panicked\": {},\n", self.panicked));
-        out.push_str(&format!("  \"queue_depth\": {},\n", self.queue_depth));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"shots_total\": {},\n", self.shots_total));
-        out.push_str(&format!("  \"sim_fusion_off\": {},\n", self.sim_fusion_off));
-        out.push_str(&format!(
-            "  \"sim_fusion_safe\": {},\n",
-            self.sim_fusion_safe
-        ));
-        out.push_str(&format!(
-            "  \"sim_fusion_aggressive\": {},\n",
-            self.sim_fusion_aggressive
-        ));
-        out.push_str(&format!(
-            "  \"compile_micros\": {},\n",
-            self.compile_time.as_micros()
-        ));
-        out.push_str(&format!(
-            "  \"simulate_micros\": {},\n",
-            self.simulate_time.as_micros()
-        ));
-        out.push_str(&format!("  \"verify_errors\": {},\n", self.verify_errors));
-        out.push_str(&format!(
-            "  \"verify_warnings\": {},\n",
-            self.verify_warnings
-        ));
-        out.push_str(&format!(
-            "  \"verify_last_error_span\": {},\n",
-            self.verify_last_error_span
-        ));
-        out.push_str(&format!("  \"queue_steals\": {},\n", self.queue_steals));
-        out.push_str("  \"latency\": {");
-        for (i, stage) in self.latency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"p50_micros\": {}, \"p90_micros\": {}, \"p99_micros\": {}, \"max_micros\": {}}}",
-                stage.stage, stage.count, stage.p50_micros, stage.p90_micros, stage.p99_micros, stage.max_micros
-            ));
-        }
-        if !self.latency.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"tenants\": [");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"tenant\": \"{}\", \"entries\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4}}}",
-                t.tenant, t.entries, t.hits, t.misses, t.evictions, t.hit_rate()
-            ));
-        }
-        if !self.tenants.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
+    /// The snapshot as a JSON object — the body a `/metrics` route would
+    /// serve: the counters, then `latency` (an object keyed by stage) and
+    /// `tenants` (an array sorted by tenant name).
+    pub fn to_json(&self) -> Value {
+        let latency = self.latency.iter().map(|stage| {
+            let quantiles = Value::object([
+                ("count", Value::from(stage.count)),
+                ("p50_micros", Value::from(stage.p50_micros)),
+                ("p90_micros", Value::from(stage.p90_micros)),
+                ("p99_micros", Value::from(stage.p99_micros)),
+                ("max_micros", Value::from(stage.max_micros)),
+            ]);
+            (stage.stage.as_str(), quantiles)
+        });
+        let tenants = self.tenants.iter().map(|t| {
+            Value::object([
+                ("tenant", Value::from(t.tenant.as_str())),
+                ("entries", Value::from(t.entries)),
+                ("hits", Value::from(t.hits)),
+                ("misses", Value::from(t.misses)),
+                ("evictions", Value::from(t.evictions)),
+                ("hit_rate", Value::from(t.hit_rate())),
+            ])
+        });
+        Value::object([
+            ("submitted", Value::from(self.submitted)),
+            ("rejected", Value::from(self.rejected)),
+            ("completed", Value::from(self.completed)),
+            ("failed", Value::from(self.failed)),
+            ("panicked", Value::from(self.panicked)),
+            ("queue_depth", Value::from(self.queue_depth)),
+            ("workers", Value::from(self.workers)),
+            ("shots_total", Value::from(self.shots_total)),
+            ("sim_fusion_off", Value::from(self.sim_fusion_off)),
+            ("sim_fusion_safe", Value::from(self.sim_fusion_safe)),
+            (
+                "sim_fusion_aggressive",
+                Value::from(self.sim_fusion_aggressive),
+            ),
+            (
+                "compile_micros",
+                Value::from(self.compile_time.as_micros() as u64),
+            ),
+            (
+                "simulate_micros",
+                Value::from(self.simulate_time.as_micros() as u64),
+            ),
+            ("verify_errors", Value::from(self.verify_errors)),
+            ("verify_warnings", Value::from(self.verify_warnings)),
+            (
+                "verify_last_error_span",
+                Value::from(self.verify_last_error_span),
+            ),
+            ("queue_steals", Value::from(self.queue_steals)),
+            ("latency", Value::object(latency)),
+            ("tenants", Value::Array(tenants.collect())),
+        ])
     }
 }
 
@@ -346,12 +335,15 @@ mod tests {
         );
         assert_eq!(snap.tenants[0].tenant, "alpha");
         let json = snap.to_json();
-        assert!(json.contains("\"submitted\": 5"));
-        assert!(json.find("alpha").unwrap() < json.find("zeta").unwrap());
-        assert!(json.contains("\"hit_rate\": 0.5000"));
+        assert_eq!(json.get("submitted").and_then(Value::as_u64), Some(5));
+        let tenants = json.get("tenants").and_then(Value::as_array).unwrap();
+        let tenant = |i: usize, key: &str| tenants[i].get(key).cloned();
+        assert_eq!(tenant(0, "tenant"), Some(Value::from("alpha")));
+        assert_eq!(tenant(1, "tenant"), Some(Value::from("zeta")));
+        assert_eq!(tenant(1, "hit_rate").and_then(|v| v.as_f64()), Some(0.5));
         // Without telemetry the latency object is present but empty.
-        assert!(json.contains("\"latency\": {}"));
-        assert!(json.contains("\"queue_steals\": 0"));
+        assert_eq!(json.get("latency"), Some(&Value::Object(Vec::new())));
+        assert_eq!(json.get("queue_steals").and_then(Value::as_u64), Some(0));
     }
 
     #[test]
@@ -381,10 +373,15 @@ mod tests {
             MetricsSnapshot::from_counters(&metrics, 0, 1, 3, latency_stats(&registry), vec![]);
         assert_eq!(snap.queue_steals, 3);
         let json = snap.to_json();
-        assert!(json.contains("\"queue_wait\": {\"count\": 4"));
-        assert!(json.contains("\"p50_micros\":"));
-        assert!(json.contains("\"p99_micros\":"));
-        assert!(json.contains("\"queue_steals\": 3"));
+        let stage = json
+            .get("latency")
+            .and_then(|l| l.get("queue_wait"))
+            .unwrap();
+        let quantile = |key: &str| stage.get(key).and_then(Value::as_u64);
+        assert_eq!(quantile("count"), Some(4));
+        assert_eq!(quantile("max_micros"), Some(80));
+        assert!(quantile("p50_micros").unwrap() <= quantile("p99_micros").unwrap());
+        assert_eq!(json.get("queue_steals").and_then(Value::as_u64), Some(3));
     }
 
     #[test]

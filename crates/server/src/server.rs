@@ -426,7 +426,7 @@ impl JobServer {
 
     /// The metrics endpoint body: [`JobServer::metrics`] rendered as JSON.
     pub fn metrics_json(&self) -> String {
-        self.metrics().to_json()
+        self.metrics().to_json().to_string()
     }
 
     /// The trace endpoint body: the collector's ring buffer of completed
@@ -684,6 +684,7 @@ impl ServerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::json::Value;
 
     fn test_server(workers: usize) -> JobServer {
         JobServer::builder(DeviceModel::ideal(3, 0.99))
@@ -703,6 +704,13 @@ mod tests {
             op: JobOp::Compile,
             fusion: None,
         }
+    }
+
+    /// A top-level counter of the metrics endpoint, read back through the
+    /// JSON codec.
+    fn metrics_field(server: &JobServer, key: &str) -> Option<u64> {
+        let json = telemetry::json::parse(&server.metrics_json()).ok()?;
+        json.get(key).and_then(Value::as_u64)
     }
 
     #[test]
@@ -798,7 +806,7 @@ mod tests {
         // at zero, and the JSON endpoint exposes them.
         assert_eq!(metrics.verify_errors, 0);
         assert_eq!(metrics.verify_warnings, 0);
-        assert!(server.metrics_json().contains("\"verify_errors\": 0"));
+        assert_eq!(metrics_field(&server, "verify_errors"), Some(0));
     }
 
     #[test]
@@ -827,9 +835,7 @@ mod tests {
         assert_eq!(metrics.sim_fusion_off, 1);
         assert_eq!(metrics.sim_fusion_safe, 1);
         assert_eq!(metrics.sim_fusion_aggressive, 1);
-        assert!(server
-            .metrics_json()
-            .contains("\"sim_fusion_aggressive\": 1"));
+        assert_eq!(metrics_field(&server, "sim_fusion_aggressive"), Some(1));
         // A request that leaves fusion unset runs on the server's base engine
         // (Safe by default) and is counted under that policy.
         let ticket = server
@@ -882,10 +888,12 @@ mod tests {
         let latency = stage("compile");
         assert!(latency.p50_micros <= latency.p90_micros);
         assert!(latency.p90_micros <= latency.p99_micros);
-        let json = server.metrics_json();
-        assert!(json.contains("\"compile\": {\"count\": 2"));
-        assert!(json.contains("\"p50_micros\":"));
-        assert!(json.contains("\"p99_micros\":"));
+        let json = telemetry::json::parse(&server.metrics_json()).unwrap();
+        let compile = json.get("latency").and_then(|l| l.get("compile")).unwrap();
+        let quantile = |key: &str| compile.get(key).and_then(Value::as_u64);
+        assert_eq!(quantile("count"), Some(2));
+        assert_eq!(quantile("p50_micros"), Some(latency.p50_micros));
+        assert_eq!(quantile("p99_micros"), Some(latency.p99_micros));
 
         // The trace holds a job → stage span tree with consistent parent ids.
         let spans = collector.completed_spans();
@@ -918,7 +926,8 @@ mod tests {
             .unwrap();
         assert!(server.metrics().latency.is_empty());
         assert_eq!(server.trace_json(), "{\"traceEvents\":[]}");
-        assert!(server.metrics_json().contains("\"latency\": {}"));
+        let json = telemetry::json::parse(&server.metrics_json()).unwrap();
+        assert_eq!(json.get("latency"), Some(&Value::Object(Vec::new())));
     }
 
     #[test]
@@ -944,9 +953,7 @@ mod tests {
         let metrics = server.metrics();
         assert_eq!(metrics.verify_errors, 0);
         assert_eq!(metrics.verify_last_error_span, 0);
-        assert!(server
-            .metrics_json()
-            .contains("\"verify_last_error_span\": 0"));
+        assert_eq!(metrics_field(&server, "verify_last_error_span"), Some(0));
     }
 
     #[test]

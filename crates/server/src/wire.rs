@@ -6,14 +6,12 @@
 //! reproduces any circuit bit-for-bit — the same trick the paper's sweep
 //! binaries use to name their workloads.
 //!
-//! The encoding is a flat, single-level JSON object with string and unsigned
-//! integer values only. The codec here is hand-rolled because the vendored
-//! `serde` shim is marker-only (see `vendor/README.md`); the types still
-//! carry the derive markers so switching to real `serde_json` later is a
-//! mechanical change.
+//! A message is one JSON object whose values are strings or unsigned
+//! integers, read and written with the workspace codec
+//! ([`telemetry::json`]), so any RFC 8259 client can talk to the server.
 
-use serde::{Deserialize, Serialize};
 use sim::FusionPolicy;
+use telemetry::json::{self, Value};
 
 /// Canonical wire spelling of a fusion policy.
 pub(crate) fn fusion_as_str(policy: FusionPolicy) -> &'static str {
@@ -36,7 +34,7 @@ fn fusion_from_str(text: &str) -> Result<FusionPolicy, WireError> {
 }
 
 /// What a job should do after compiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOp {
     /// Compile only; report circuit and cache statistics.
     Compile,
@@ -49,7 +47,7 @@ pub enum JobOp {
 }
 
 /// Which deterministic workload generator to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Quantum-volume model circuit ([`apps::workloads::qv_circuit`]).
     Qv,
@@ -67,7 +65,7 @@ impl WorkloadKind {
 }
 
 /// One compile-or-simulate request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Tenant namespace; each tenant gets its own decomposition cache.
     pub tenant: String,
@@ -88,32 +86,45 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// Encodes the request as a flat JSON object.
+    /// Encodes the request as a compact JSON object.
     pub fn encode(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "tenant", &self.tenant);
-        push_str_field(&mut out, "set", &self.set);
-        push_str_field(&mut out, "workload", self.workload.as_str());
-        push_num_field(&mut out, "qubits", self.qubits as u64);
-        push_num_field(&mut out, "seed", self.seed);
+        let mut fields = vec![
+            ("tenant", Value::from(self.tenant.as_str())),
+            ("set", Value::from(self.set.as_str())),
+            ("workload", Value::from(self.workload.as_str())),
+            ("qubits", Value::from(self.qubits)),
+            ("seed", Value::from(self.seed)),
+        ];
         match self.op {
-            JobOp::Compile => push_str_field(&mut out, "op", "compile"),
+            JobOp::Compile => fields.push(("op", Value::from("compile"))),
             JobOp::Simulate { shots } => {
-                push_str_field(&mut out, "op", "simulate");
-                push_num_field(&mut out, "shots", shots as u64);
+                fields.push(("op", Value::from("simulate")));
+                fields.push(("shots", Value::from(shots)));
             }
         }
         if let Some(policy) = self.fusion {
-            push_str_field(&mut out, "fusion", fusion_as_str(policy));
+            fields.push(("fusion", Value::from(fusion_as_str(policy))));
         }
-        out.pop(); // trailing comma
-        out.push('}');
-        out
+        Value::object(fields).to_string()
     }
 
-    /// Parses a request from the flat JSON produced by [`JobRequest::encode`].
+    /// Parses a request: any JSON object with the fields
+    /// [`JobRequest::encode`] writes, in any order and spacing. Unknown
+    /// fields are ignored, but every value must be a string or an unsigned
+    /// integer.
     pub fn parse(text: &str) -> Result<JobRequest, WireError> {
-        let fields = parse_flat_object(text)?;
+        if !text.trim_start().starts_with('{') {
+            return Err(WireError::new("expected '{': a request is one JSON object"));
+        }
+        let fields = json::parse(text).map_err(|e| WireError::new(e.to_string()))?;
+        if let Value::Object(members) = &fields {
+            let flat = |v: &Value| v.as_str().is_some() || v.as_u64().is_some();
+            if let Some((key, _)) = members.iter().find(|(_, v)| !flat(v)) {
+                return Err(WireError::new(format!(
+                    "field `{key}`: values must be strings or unsigned integers"
+                )));
+            }
+        }
         let tenant = require_str(&fields, "tenant")?.to_string();
         if tenant.is_empty() {
             return Err(WireError::new("field `tenant` must be non-empty"));
@@ -141,7 +152,7 @@ impl JobRequest {
                 )))
             }
         };
-        let fusion = match fields.iter().find(|(k, _)| k == "fusion") {
+        let fusion = match fields.get("fusion") {
             None => None,
             Some(_) => Some(fusion_from_str(require_str(&fields, "fusion")?)?),
         };
@@ -158,7 +169,7 @@ impl JobRequest {
 }
 
 /// Simulation half of a [`JobResponse`], present for `op = simulate`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimSummary {
     /// Shots executed.
     pub shots: usize,
@@ -173,7 +184,7 @@ pub struct SimSummary {
 }
 
 /// What a completed job reports back.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobResponse {
     /// Echo of the request's tenant.
     pub tenant: String,
@@ -194,25 +205,24 @@ pub struct JobResponse {
 }
 
 impl JobResponse {
-    /// Encodes the response as a flat JSON object.
+    /// Encodes the response as a compact JSON object.
     pub fn encode(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "tenant", &self.tenant);
-        push_str_field(&mut out, "set", &self.set);
-        push_num_field(&mut out, "two_qubit_gates", self.two_qubit_gates as u64);
-        push_num_field(&mut out, "swap_count", self.swap_count as u64);
-        push_num_field(&mut out, "cache_hits", self.cache_hits as u64);
-        push_num_field(&mut out, "cache_misses", self.cache_misses as u64);
-        push_num_field(&mut out, "compile_micros", self.compile_micros);
+        let mut fields = vec![
+            ("tenant", Value::from(self.tenant.as_str())),
+            ("set", Value::from(self.set.as_str())),
+            ("two_qubit_gates", Value::from(self.two_qubit_gates)),
+            ("swap_count", Value::from(self.swap_count)),
+            ("cache_hits", Value::from(self.cache_hits)),
+            ("cache_misses", Value::from(self.cache_misses)),
+            ("compile_micros", Value::from(self.compile_micros)),
+        ];
         if let Some(sim) = &self.sim {
-            push_num_field(&mut out, "shots", sim.shots as u64);
-            push_num_field(&mut out, "simulate_micros", sim.simulate_micros);
-            push_num_field(&mut out, "distinct_outcomes", sim.distinct_outcomes as u64);
-            push_str_field(&mut out, "fusion", fusion_as_str(sim.fusion));
+            fields.push(("shots", Value::from(sim.shots)));
+            fields.push(("simulate_micros", Value::from(sim.simulate_micros)));
+            fields.push(("distinct_outcomes", Value::from(sim.distinct_outcomes)));
+            fields.push(("fusion", Value::from(fusion_as_str(sim.fusion))));
         }
-        out.pop();
-        out.push('}');
-        out
+        Value::object(fields).to_string()
     }
 }
 
@@ -238,145 +248,28 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    out.push_str(value);
-    out.push_str("\",");
+fn require<'a>(fields: &'a Value, key: &str) -> Result<&'a Value, WireError> {
+    fields
+        .get(key)
+        .ok_or_else(|| WireError::new(format!("missing field `{key}`")))
 }
 
-fn push_num_field(out: &mut String, key: &str, value: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-    out.push(',');
+fn require_str<'a>(fields: &'a Value, key: &str) -> Result<&'a str, WireError> {
+    require(fields, key)?
+        .as_str()
+        .ok_or_else(|| WireError::new(format!("field `{key}` must be a string")))
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(u64),
-}
-
-/// Parses a single-level JSON object with string and unsigned-integer values.
-/// Escape sequences are rejected (no field this format carries needs them).
-fn parse_flat_object(text: &str) -> Result<Vec<(String, Value)>, WireError> {
-    let mut chars = text.chars().peekable();
-    let mut fields = Vec::new();
-    skip_ws(&mut chars);
-    expect_char(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return finish(chars, fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect_char(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => Value::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => Value::Num(parse_number(&mut chars)?),
-            Some(c) => {
-                return Err(WireError::new(format!(
-                    "unexpected {c:?} (values must be strings or unsigned integers)"
-                )))
-            }
-            None => return Err(WireError::new("unexpected end of input")),
-        };
-        if fields.iter().any(|(k, _)| *k == key) {
-            return Err(WireError::new(format!("duplicate field `{key}`")));
-        }
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => return finish(chars, fields),
-            Some(c) => return Err(WireError::new(format!("expected ',' or '}}', got {c:?}"))),
-            None => return Err(WireError::new("unexpected end of input")),
-        }
-    }
-}
-
-fn finish(
-    mut chars: std::iter::Peekable<std::str::Chars<'_>>,
-    fields: Vec<(String, Value)>,
-) -> Result<Vec<(String, Value)>, WireError> {
-    skip_ws(&mut chars);
-    match chars.next() {
-        None => Ok(fields),
-        Some(c) => Err(WireError::new(format!(
-            "trailing {c:?} after closing brace"
-        ))),
-    }
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect_char(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    want: char,
-) -> Result<(), WireError> {
-    match chars.next() {
-        Some(c) if c == want => Ok(()),
-        Some(c) => Err(WireError::new(format!("expected {want:?}, got {c:?}"))),
-        None => Err(WireError::new(format!(
-            "expected {want:?}, got end of input"
-        ))),
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, WireError> {
-    expect_char(chars, '"')?;
-    let mut out = String::new();
-    for c in chars.by_ref() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => return Err(WireError::new("escape sequences are not supported")),
-            c => out.push(c),
-        }
-    }
-    Err(WireError::new("unterminated string"))
-}
-
-fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<u64, WireError> {
-    let mut out = String::new();
-    while let Some(c) = chars.next_if(|c| c.is_ascii_digit()) {
-        out.push(c);
-    }
-    out.parse()
-        .map_err(|_| WireError::new(format!("integer {out:?} out of range")))
-}
-
-fn require_str<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a str, WireError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Value::Str(s))) => Ok(s),
-        Some((_, Value::Num(_))) => Err(WireError::new(format!("field `{key}` must be a string"))),
-        None => Err(WireError::new(format!("missing field `{key}`"))),
-    }
-}
-
-fn require_num(fields: &[(String, Value)], key: &str) -> Result<u64, WireError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Value::Num(n))) => Ok(*n),
-        Some((_, Value::Str(_))) => Err(WireError::new(format!(
-            "field `{key}` must be an unsigned integer"
-        ))),
-        None => Err(WireError::new(format!("missing field `{key}`"))),
-    }
+fn require_num(fields: &Value, key: &str) -> Result<u64, WireError> {
+    require(fields, key)?
+        .as_u64()
+        .ok_or_else(|| WireError::new(format!("field `{key}` must be an unsigned integer")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> JobRequest {
         JobRequest {
@@ -451,7 +344,11 @@ mod tests {
             (r#"{"tenant":"t","tenant":"u"}"#, "duplicate"),
             (r#"{"tenant":"t" "set":"G3"}"#, "expected ',' or '}'"),
             (r#"{"tenant":"t"} trailing"#, "trailing"),
-            (r#"{"tenant":"t\n"}"#, "escape"),
+            ("{\"tenant\":\"t\nx\"}", "control character"),
+            (r#"{"tenant":"t","qubits":03}"#, "leading zero"),
+            (r#"{"tenant":"t","qubits":-1}"#, "unsigned integers"),
+            (r#"{"tenant":"t","seed":[1]}"#, "unsigned integers"),
+            (r#"{"tenant":"t\ud800"}"#, "lone surrogate"),
             ("not json", "expected '{'"),
         ];
         for (text, needle) in cases {
@@ -460,6 +357,43 @@ mod tests {
                 err.to_string().contains(needle),
                 "{text:?}: {err} should mention {needle:?}"
             );
+        }
+    }
+
+    #[test]
+    fn escapes_in_strings_decode() {
+        let text = r#"{"tenant":"a\u0062\"\\","set":"G\u0033","workload":"qv","qubits":3,
+                       "seed":1,"op":"compile"}"#;
+        let req = JobRequest::parse(text).unwrap();
+        assert_eq!((req.tenant.as_str(), req.set.as_str()), ("ab\"\\", "G3"));
+    }
+
+    /// Every character a string encoder must get right: quotes, backslashes,
+    /// all kinds of C0 control, U+2028, multi-byte and non-BMP characters.
+    const ALPHABET: &[char] = &[
+        '"', '\\', '/', '\u{0}', '\u{8}', '\t', '\n', '\u{c}', '\r', '\u{1b}', '\u{1f}', '\u{7f}',
+        '\u{2028}', 'é', '😀', '𝄞', 'a', ' ', '{', ':', ',',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_strings_round_trip_through_the_codec_and_the_wire(
+            picks in proptest::collection::vec(0..ALPHABET.len(), 1..32),
+            split in 1usize..32,
+            seed in 0u64..u64::MAX,
+        ) {
+            let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let tenant: String = text.chars().take(split).collect();
+            let value = Value::object([(tenant.as_str(), Value::from(text.as_str()))]);
+            prop_assert_eq!(json::parse(&value.to_string()).unwrap(), value.clone());
+            prop_assert_eq!(json::parse(&format!("{value:#}")).unwrap(), value);
+
+            let req = JobRequest { tenant, set: text, seed, ..sample() };
+            let wire = req.encode();
+            prop_assert!(!wire.chars().any(|c| c < ' '));
+            prop_assert_eq!(JobRequest::parse(&wire).unwrap(), req);
         }
     }
 

@@ -1,76 +1,11 @@
-//! Span exporters: flat JSON (server codec dialect) and Chrome Trace Event
-//! Format.
+//! Span export in Chrome Trace Event Format.
 //!
-//! Both renderers are pure functions of the span records, so output is
+//! The renderer is a pure function of the span records, so output is
 //! byte-deterministic for a fixed input — which is what lets the golden
-//! tests pin them.
+//! tests pin it.
 
+use crate::json::Value;
 use crate::span::{AttrValue, Span};
-
-/// Appends `text` with the flat-codec sanitization rules used by the server
-/// wire format and `verify` diagnostics: no escape sequences — `"` and `\`
-/// become `'`, other control characters become spaces.
-pub fn push_sanitized(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '"' | '\\' => out.push('\''),
-            c if c.is_control() => out.push(' '),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Appends `"key":"value"` (comma-separated) to a flat JSON object body.
-pub fn push_str_field(out: &mut String, key: &str, value: &str) {
-    if !out.is_empty() && !out.ends_with('{') && !out.ends_with('[') {
-        out.push(',');
-    }
-    out.push('"');
-    push_sanitized(out, key);
-    out.push_str("\":\"");
-    push_sanitized(out, value);
-    out.push('"');
-}
-
-/// Appends `"key":N` (comma-separated) to a flat JSON object body.
-pub fn push_num_field(out: &mut String, key: &str, value: u64) {
-    if !out.is_empty() && !out.ends_with('{') && !out.ends_with('[') {
-        out.push(',');
-    }
-    out.push('"');
-    push_sanitized(out, key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-/// Renders spans as a JSON array of single-level objects in the flat server
-/// dialect: `name`, `id`, `parent`, `thread`, `start_micros`, `dur_micros`,
-/// then one `attr.<key>` field per attribute in recording order.
-pub fn spans_flat_json(spans: &[Span]) -> String {
-    let mut out = String::from("[");
-    for (index, span) in spans.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_str_field(&mut out, "name", span.name);
-        push_num_field(&mut out, "id", span.id.0);
-        push_num_field(&mut out, "parent", span.parent.0);
-        push_num_field(&mut out, "thread", span.thread);
-        push_num_field(&mut out, "start_micros", span.start_micros);
-        push_num_field(&mut out, "dur_micros", span.duration_micros);
-        for (key, value) in &span.attrs {
-            let attr_key = format!("attr.{key}");
-            match value {
-                AttrValue::U64(n) => push_num_field(&mut out, &attr_key, *n),
-                AttrValue::Str(s) => push_str_field(&mut out, &attr_key, s),
-            }
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
 
 /// Renders spans in Chrome Trace Event Format — load the result in
 /// <https://ui.perfetto.dev> (or `chrome://tracing`) for a flamegraph.
@@ -80,33 +15,32 @@ pub fn spans_flat_json(spans: &[Span]) -> String {
 /// the span/parent ids ride along in `args` so the job → stage → shard
 /// hierarchy survives even across threads.
 pub fn trace_json(spans: &[Span]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (index, span) in spans.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_str_field(&mut out, "name", span.name);
-        push_str_field(&mut out, "ph", "X");
-        push_num_field(&mut out, "ts", span.start_micros);
-        push_num_field(&mut out, "dur", span.duration_micros);
-        push_num_field(&mut out, "pid", 1);
-        push_num_field(&mut out, "tid", span.thread);
-        out.push_str(",\"args\":{");
-        let mut args = String::new();
-        push_num_field(&mut args, "span_id", span.id.0);
-        push_num_field(&mut args, "parent_id", span.parent.0);
-        for (key, value) in &span.attrs {
-            match value {
-                AttrValue::U64(n) => push_num_field(&mut args, key, *n),
-                AttrValue::Str(s) => push_str_field(&mut args, key, s),
-            }
-        }
-        out.push_str(&args);
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
+    let events = spans
+        .iter()
+        .map(|span| {
+            let mut args = vec![
+                ("span_id", Value::from(span.id.0)),
+                ("parent_id", Value::from(span.parent.0)),
+            ];
+            args.extend(span.attrs.iter().map(|&(key, value)| {
+                let value = match value {
+                    AttrValue::U64(n) => Value::from(n),
+                    AttrValue::Str(s) => Value::from(s),
+                };
+                (key, value)
+            }));
+            Value::object([
+                ("name", Value::from(span.name)),
+                ("ph", Value::from("X")),
+                ("ts", Value::from(span.start_micros)),
+                ("dur", Value::from(span.duration_micros)),
+                ("pid", Value::from(1u64)),
+                ("tid", Value::from(span.thread)),
+                ("args", Value::object(args)),
+            ])
+        })
+        .collect();
+    Value::object([("traceEvents", Value::Array(events))]).to_string()
 }
 
 #[cfg(test)]
@@ -128,9 +62,14 @@ mod tests {
 
     #[test]
     fn sanitizes_quotes_and_controls() {
-        let mut out = String::new();
-        push_str_field(&mut out, "k", "a\"b\\c\nd");
-        assert_eq!(out, "\"k\":\"a'b'c d\"");
+        let mut s = span(1, 0, "job");
+        s.attrs.push(("tenant", AttrValue::Str("a\"b\\c\nd")));
+        let json = trace_json(&[s]);
+        assert!(json.contains(r#""tenant":"a\"b\\c\nd""#));
+        let parsed = crate::json::parse(&json).unwrap();
+        let event = &parsed.get("traceEvents").unwrap().as_array().unwrap()[0];
+        let tenant = event.get("args").and_then(|a| a.get("tenant"));
+        assert_eq!(tenant.and_then(Value::as_str), Some("a\"b\\c\nd"));
     }
 
     #[test]
@@ -140,15 +79,5 @@ mod tests {
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"span_id\":2,\"parent_id\":1"));
-    }
-
-    #[test]
-    fn flat_json_carries_attrs() {
-        let mut s = span(3, 1, "shard");
-        s.attrs.push(("shots", AttrValue::U64(64)));
-        s.attrs.push(("regime", AttrValue::Str("shot_parallel")));
-        let json = spans_flat_json(&[s]);
-        assert!(json.contains("\"attr.shots\":64"));
-        assert!(json.contains("\"attr.regime\":\"shot_parallel\""));
     }
 }

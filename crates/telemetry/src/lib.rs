@@ -1,6 +1,7 @@
 //! Low-overhead telemetry shared by the compiler, engine and server.
 //!
-//! Three pieces, designed to stay out of the hot paths they measure:
+//! Four pieces; the first three are designed to stay out of the hot paths
+//! they measure:
 //!
 //! * **Hierarchical spans** ([`Span::enter`] / [`SpanGuard`]): RAII timers
 //!   with explicit parent ids, so scoped worker threads can attach their
@@ -11,10 +12,12 @@
 //!   latency [`Histogram`]s with p50/p90/p99 quantile estimation. All
 //!   recording is relaxed atomics; registration is a lock + map lookup and
 //!   belongs outside per-shot loops.
-//! * **Two exporters** ([`export`]): the flat-JSON dialect the server wire
-//!   codec and `verify` diagnostics already speak, and Chrome Trace Event
-//!   Format (load the file in <https://ui.perfetto.dev> or `chrome://tracing`
-//!   for a flamegraph of one run).
+//! * **A trace exporter** ([`export`]): Chrome Trace Event Format (load the
+//!   file in <https://ui.perfetto.dev> or `chrome://tracing` for a
+//!   flamegraph of one run).
+//! * **The workspace's JSON codec** ([`json`]): one RFC 8259 parser and
+//!   writer behind the server wire format, the metrics endpoint, the trace
+//!   export and `verify` findings.
 //!
 //! # Spans
 //!
@@ -53,8 +56,7 @@
 //! assert_eq!(collector.counter("cache_hits").get(), 3);
 //! // Quantile estimates are exact to within one log2 bucket.
 //! assert!(latency.quantile(0.5) >= 128 && latency.quantile(0.5) <= 255);
-//! let json = collector.registry().to_flat_json();
-//! assert!(json.contains("\"counter.cache_hits\":3"));
+//! assert_eq!(latency.count(), 4);
 //! ```
 //!
 //! # Overhead model
@@ -68,6 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod span;
 

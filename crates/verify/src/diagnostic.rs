@@ -1,15 +1,14 @@
 //! The diagnostic model: severities, op-index spans, findings and reports.
 //!
 //! Every rule reports its findings as [`Diagnostic`]s collected into a
-//! [`VerifyReport`]. Diagnostics render to the same flat-JSON dialect as the
-//! server wire codec (a single-level object whose values are plain strings or
-//! unsigned integers, no escape sequences), so findings can travel over the
+//! [`VerifyReport`]. Diagnostics render as single-level JSON objects through
+//! the workspace codec ([`telemetry::json`]), so findings can travel over the
 //! existing job-server endpoints unchanged.
 
-use serde::{Deserialize, Serialize};
+use telemetry::json::Value;
 
 /// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational: nothing is wrong, the rule is reporting context
     /// (e.g. "equivalence spot check skipped: register too large").
@@ -21,7 +20,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lower-case name used in the flat-JSON rendering.
+    /// Lower-case name used in the JSON rendering.
     pub fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
@@ -38,7 +37,7 @@ impl std::fmt::Display for Severity {
 }
 
 /// A half-open `[start, end)` range of operation indices a finding points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Span {
     /// Index of the first operation covered.
     pub start: usize,
@@ -62,7 +61,7 @@ impl Span {
 }
 
 /// One finding produced by a verification rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     severity: Severity,
     rule: &'static str,
@@ -145,25 +144,23 @@ impl Diagnostic {
         self.trace_span
     }
 
-    /// Renders the finding as a flat JSON object matching the server codec:
-    /// a single-level object with string and unsigned-integer values and no
-    /// escape sequences (characters the codec cannot carry are replaced by
-    /// `'`). Span-less findings omit the `start`/`end` fields.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "severity", self.severity.as_str());
-        push_str_field(&mut out, "rule", self.rule);
+    /// The finding as a JSON object: `severity`, `rule`, then `start`/`end`
+    /// when the finding has a span, `trace_span` when one is attached, and
+    /// `message`.
+    pub fn to_json(&self) -> Value {
+        let mut fields = vec![
+            ("severity", Value::from(self.severity.as_str())),
+            ("rule", Value::from(self.rule)),
+        ];
         if let Some(span) = self.span {
-            push_num_field(&mut out, "start", span.start as u64);
-            push_num_field(&mut out, "end", span.end as u64);
+            fields.push(("start", Value::from(span.start)));
+            fields.push(("end", Value::from(span.end)));
         }
         if let Some(trace_span) = self.trace_span {
-            push_num_field(&mut out, "trace_span", trace_span);
+            fields.push(("trace_span", Value::from(trace_span)));
         }
-        push_str_field(&mut out, "message", &self.message);
-        out.pop(); // trailing comma
-        out.push('}');
-        out
+        fields.push(("message", Value::from(self.message.as_str())));
+        Value::object(fields)
     }
 }
 
@@ -182,7 +179,7 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// The findings of one verification run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyReport {
     diagnostics: Vec<Diagnostic>,
 }
@@ -246,17 +243,9 @@ impl VerifyReport {
         self.diagnostics.is_empty()
     }
 
-    /// Renders the report as a JSON array of flat diagnostic objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_json());
-        }
-        out.push(']');
-        out
+    /// The report as a JSON array of [`Diagnostic::to_json`] objects.
+    pub fn to_json(&self) -> Value {
+        Value::Array(self.diagnostics.iter().map(Diagnostic::to_json).collect())
     }
 }
 
@@ -275,32 +264,6 @@ impl std::fmt::Display for VerifyReport {
     }
 }
 
-/// Appends `"key":"value",` — the flat-JSON string form of the server codec.
-/// The codec carries no escape sequences, so `"`, `\` and control characters
-/// in the value are replaced by `'`.
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' | '\\' => out.push('\''),
-            c if c.is_control() => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out.push_str("\",");
-}
-
-/// Appends `"key":value,` for an unsigned integer value.
-fn push_num_field(out: &mut String, key: &str, value: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,7 +278,7 @@ mod tests {
     fn json_omits_missing_span() {
         let d = Diagnostic::error("rule/x", "broken");
         assert_eq!(
-            d.to_json(),
+            d.to_json().to_string(),
             r#"{"severity":"error","rule":"rule/x","message":"broken"}"#
         );
     }
@@ -324,7 +287,7 @@ mod tests {
     fn json_includes_span_fields() {
         let d = Diagnostic::warning("rule/y", "odd").at_op(7);
         assert_eq!(
-            d.to_json(),
+            d.to_json().to_string(),
             r#"{"severity":"warning","rule":"rule/y","start":7,"end":8,"message":"odd"}"#
         );
     }
@@ -334,21 +297,27 @@ mod tests {
         let d = Diagnostic::error("rule/x", "broken").with_trace_span(42);
         assert_eq!(d.trace_span(), Some(42));
         assert_eq!(
-            d.to_json(),
+            d.to_json().to_string(),
             r#"{"severity":"error","rule":"rule/x","trace_span":42,"message":"broken"}"#
         );
         // Id 0 means "no span" and renders nothing.
         let none = Diagnostic::error("rule/x", "broken").with_trace_span(0);
         assert_eq!(none.trace_span(), None);
-        assert!(!none.to_json().contains("trace_span"));
+        assert!(none.to_json().get("trace_span").is_none());
     }
 
     #[test]
     fn json_replaces_unrepresentable_characters() {
+        // Quotes, backslashes and control characters become RFC 8259 escapes.
         let d = Diagnostic::info("rule/z", "a \"quoted\\\" message\n");
         assert_eq!(
-            d.to_json(),
-            r#"{"severity":"info","rule":"rule/z","message":"a 'quoted'' message "}"#
+            d.to_json().to_string(),
+            r#"{"severity":"info","rule":"rule/z","message":"a \"quoted\\\" message\n"}"#
+        );
+        let parsed = telemetry::json::parse(&d.to_json().to_string()).unwrap();
+        assert_eq!(
+            parsed.get("message").and_then(Value::as_str),
+            Some(d.message())
         );
     }
 
@@ -360,7 +329,7 @@ mod tests {
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warning_count(), 1);
         assert!(r.has_errors());
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("severity").count(), 2);
     }

@@ -6,8 +6,8 @@
 //! ([`StageSnapshot`] for pipeline stages, [`KernelArtifact`] for lowered
 //! kernel streams) and get back a [`VerifyReport`] of [`Diagnostic`]s.
 //!
-//! * [`diagnostic`] — severities, op-index spans, findings, and the flat-JSON
-//!   rendering shared with the server wire codec.
+//! * [`diagnostic`] — severities, op-index spans, findings, and their JSON
+//!   rendering through the workspace codec shared with the server.
 //! * [`rule`] — the composable [`Rule`] trait, the [`Artifact`] the rules
 //!   inspect, and the [`Verifier`] driver.
 //! * [`stage`] — structural legality rules for the compilation pipeline

@@ -1,4 +1,4 @@
-//! Golden-file tests for the flat-JSON diagnostic rendering.
+//! Golden-file tests for the JSON diagnostic rendering.
 //!
 //! The rendered bytes are part of the server's metrics/report surface, so any
 //! drift must be a conscious decision. Regenerate with:
@@ -44,7 +44,7 @@ fn handcrafted_report_matches_golden() {
         Diagnostic::info("isa/gate-set", "stream uses 3 distinct labels")
             .with_span(Span::range(0, 4)),
     );
-    check_golden("handcrafted.json", &report.to_json());
+    check_golden("handcrafted.json", &report.to_json().to_string());
 }
 
 #[test]
@@ -69,7 +69,7 @@ fn coupling_violation_diagnostic_matches_golden() {
         instruction_set: None,
     };
     let report = Verifier::structural().run(&Artifact::Stage(&snapshot));
-    check_golden("coupling_violation.json", &report.to_json());
+    check_golden("coupling_violation.json", &report.to_json().to_string());
 }
 
 #[test]
@@ -82,5 +82,5 @@ fn escaping_is_stable_against_the_golden() {
         ));
         r
     };
-    check_golden("escaping.json", &report.to_json());
+    check_golden("escaping.json", &report.to_json().to_string());
 }

@@ -13,15 +13,18 @@
 //! below the allowance are reported so the allowance can be ratcheted down
 //! with `--bless`.
 //!
-//! `check-trace` structurally validates a Chrome Trace Event file written by
-//! `replay --trace` (or a figure binary's `--trace`): the `traceEvents`
-//! array is present, events carry the complete-event fields (`ph:"X"`, `ts`,
-//! `dur`, `pid`, `tid`), a `job` span exists and at least one event nests
-//! under a job via `parent_id`. CI runs it after the replay trace smoke.
+//! `check-trace` parses a Chrome Trace Event file written by
+//! `replay --trace` (or a figure binary's `--trace`) with the workspace JSON
+//! codec and validates its structure: the `traceEvents` array is present,
+//! events carry the complete-event fields (`ph:"X"`, `ts`, `dur`, `pid`,
+//! `tid`), a `job` span exists and at least one event nests under a job via
+//! `args.parent_id`. CI runs it after the replay trace smoke.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use telemetry::json::{self, Value};
 
 const ALLOWLIST: &str = "lint-allow.txt";
 const PATTERNS: [&str; 3] = ["unwrap(", "expect(", "panic!("];
@@ -46,81 +49,87 @@ fn main() -> ExitCode {
 
 /// Structural validation of a Chrome Trace Event file. The telemetry
 /// exporter emits one complete event (`ph:"X"`) per span with `span_id` /
-/// `parent_id` args; this checks the shape a Perfetto import relies on
-/// without pulling in a JSON parser.
+/// `parent_id` args; this checks the shape a Perfetto import relies on.
 fn check_trace(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("xtask check-trace: cannot read {}: {err}", path.display());
+    let checked = std::fs::read_to_string(path)
+        .map_err(|err| vec![format!("cannot read it: {err}")])
+        .and_then(|text| trace_problems(&text));
+    let (events, jobs) = match checked {
+        Ok(counts) => counts,
+        Err(problems) => {
+            eprintln!(
+                "xtask check-trace: {} is not a valid trace:",
+                path.display()
+            );
+            for problem in &problems {
+                eprintln!("  {problem}");
+            }
             return ExitCode::FAILURE;
         }
     };
+    let path = path.display();
+    eprintln!("xtask check-trace: ok — {events} events, {jobs} job spans in {path}");
+    ExitCode::SUCCESS
+}
+
+/// Checks a trace document; `Ok((events, job spans))` when it is valid,
+/// otherwise every problem found.
+fn trace_problems(text: &str) -> Result<(usize, usize), Vec<String>> {
+    let trace = json::parse(text).map_err(|err| vec![format!("not JSON: {err}")])?;
+    let Some(events) = trace.get("traceEvents").and_then(Value::as_array) else {
+        return Err(vec!["missing top-level traceEvents array".to_string()]);
+    };
     let mut problems = Vec::new();
-    if !text.starts_with("{\"traceEvents\":[") {
-        problems.push("missing leading {\"traceEvents\":[ array".to_string());
-    }
-    let events = text.matches("{\"name\":").count();
-    if events == 0 {
+    if events.is_empty() {
         problems.push("no trace events at all".to_string());
     }
-    for field in [
-        "\"ph\":\"X\"",
-        "\"ts\":",
-        "\"dur\":",
-        "\"pid\":",
-        "\"tid\":",
+    let is_job = |e: &Value| e.get("name").and_then(Value::as_str) == Some("job");
+    let arg = |e: &Value, key: &str| e.get("args")?.get(key)?.as_u64();
+    // Complete events: `ph` is "X"; `ts`, `dur`, `pid` and `tid` are numbers.
+    for (field, wanted) in [
+        ("ph", Some("X")),
+        ("ts", None),
+        ("dur", None),
+        ("pid", None),
+        ("tid", None),
     ] {
-        let n = text.matches(field).count();
-        if n != events {
-            problems.push(format!("{n} of {events} events carry {field}"));
+        let n = events
+            .iter()
+            .filter(|e| match (e.get(field), wanted) {
+                (Some(value), Some(wanted)) => value.as_str() == Some(wanted),
+                (Some(value), None) => value.as_f64().is_some(),
+                (None, _) => false,
+            })
+            .count();
+        if n != events.len() {
+            problems.push(format!(
+                "{n} of {} events carry a valid {field:?}",
+                events.len()
+            ));
         }
     }
-    // Every event must name the span tree: a job span exists and at least
-    // one stage event points back at a job span via parent_id.
-    let job_ids: Vec<u64> = text
-        .split("{\"name\":\"job\"")
-        .skip(1)
-        .filter_map(|rest| field_u64(rest, "\"span_id\":"))
+    // The span tree must be there: a job span exists and at least one other
+    // event points back at a job span via parent_id.
+    let job_ids: Vec<u64> = events
+        .iter()
+        .filter(|e| is_job(e))
+        .filter_map(|e| arg(e, "span_id"))
         .collect();
     if job_ids.is_empty() {
         problems.push("no \"job\" span in the trace".to_string());
-    } else {
-        let nested = text
-            .split("{\"name\":")
-            .skip(1)
-            .filter(|e| !e.starts_with("\"job\""))
-            .filter_map(|e| field_u64(e, "\"parent_id\":"))
-            .any(|parent| job_ids.contains(&parent));
-        if !nested {
-            problems.push("no event nests under a job span via parent_id".to_string());
-        }
+    } else if !events
+        .iter()
+        .filter(|e| !is_job(e))
+        .filter_map(|e| arg(e, "parent_id"))
+        .any(|parent| job_ids.contains(&parent))
+    {
+        problems.push("no event nests under a job span via parent_id".to_string());
     }
     if problems.is_empty() {
-        eprintln!(
-            "xtask check-trace: ok — {events} events, {} job spans in {}",
-            job_ids.len(),
-            path.display()
-        );
-        ExitCode::SUCCESS
+        Ok((events.len(), job_ids.len()))
     } else {
-        eprintln!(
-            "xtask check-trace: {} is not a valid trace:",
-            path.display()
-        );
-        for problem in &problems {
-            eprintln!("  {problem}");
-        }
-        ExitCode::FAILURE
+        Err(problems)
     }
-}
-
-/// Reads the unsigned integer immediately following `key` in `text`
-/// (within the current event object), if any.
-fn field_u64(text: &str, key: &str) -> Option<u64> {
-    let rest = &text[text.find(key)? + key.len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 fn lint(bless: bool) -> ExitCode {
@@ -275,4 +284,85 @@ fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .expect("xtask sits two levels under the workspace root")
         .to_path_buf()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::trace_problems;
+    use telemetry::json::Value;
+
+    /// One complete event as the telemetry exporter writes it.
+    fn event(name: &str, span_id: u64, parent_id: u64, args: Vec<(&str, Value)>) -> Value {
+        let ids = [
+            ("span_id", Value::from(span_id)),
+            ("parent_id", Value::from(parent_id)),
+        ];
+        Value::object([
+            ("name", Value::from(name)),
+            ("ph", Value::from("X")),
+            ("ts", Value::from(10u64)),
+            ("dur", Value::from(5u64)),
+            ("pid", Value::from(1u64)),
+            ("tid", Value::from(2u64)),
+            ("args", Value::object(ids.into_iter().chain(args))),
+        ])
+    }
+
+    fn trace(events: Vec<Value>) -> String {
+        Value::object([("traceEvents", Value::Array(events))]).to_string()
+    }
+
+    #[test]
+    fn accepts_a_minimal_valid_trace() {
+        let text = trace(vec![
+            event("compile", 2, 1, vec![]),
+            event("job", 1, 0, vec![]),
+        ]);
+        assert_eq!(trace_problems(&text), Ok((2, 1)));
+    }
+
+    #[test]
+    fn rejects_broken_traces_with_the_reason() {
+        let job = || event("job", 1, 0, vec![]);
+        let mut no_ph = event("compile", 2, 1, vec![]);
+        if let Value::Object(fields) = &mut no_ph {
+            fields.retain(|(key, _)| key != "ph");
+        }
+        // No real job span: "job" only appears inside a string attribute and
+        // a nested args object, which a substring search would mistake for one.
+        let fake_job = vec![
+            ("note", Value::from(r#"{"name":"job","span_id":1}"#)),
+            (
+                "detail",
+                Value::object([("name", Value::from("job")), ("span_id", Value::from(1u64))]),
+            ),
+        ];
+        for (text, needle) in [
+            (
+                trace(vec![no_ph, job()]),
+                "1 of 2 events carry a valid \"ph\"",
+            ),
+            (
+                trace(vec![event("compile", 2, 1, vec![])]),
+                "no \"job\" span",
+            ),
+            (
+                trace(vec![event("compile", 2, 9, vec![]), job()]),
+                "no event nests under a job",
+            ),
+            (
+                trace(vec![event("compile", 2, 1, fake_job)]),
+                "no \"job\" span",
+            ),
+            (trace(Vec::new()), "no trace events"),
+            (
+                "{\"events\":[]}".to_string(),
+                "missing top-level traceEvents",
+            ),
+            ("{\"traceEvents\":[".to_string(), "not JSON"),
+        ] {
+            let problems = trace_problems(&text).expect_err(&text).join("\n");
+            assert!(problems.contains(needle), "{text}: {problems}");
+        }
+    }
 }

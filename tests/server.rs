@@ -8,6 +8,7 @@ use compiler::{Compiler, CompilerOptions};
 use device::DeviceModel;
 use qmath::RngSeed;
 use server::{JobOp, JobRequest, JobServer, ServerError, WorkloadKind};
+use telemetry::json::{self, Value};
 
 fn test_device() -> DeviceModel {
     DeviceModel::aspen8(RngSeed(1))
@@ -217,6 +218,31 @@ fn wire_requests_replay_deterministically() {
     let (first_sim, second_sim) = (first.sim.as_ref().unwrap(), second.sim.as_ref().unwrap());
     assert_eq!(first_sim.shots, second_sim.shots);
     assert_eq!(first_sim.distinct_outcomes, second_sim.distinct_outcomes);
-    // Round-trip through the response encoder stays flat JSON.
+    // The response encoder writes the same JSON the codec reads back.
     assert!(first.encode().contains("\"shots\":50"));
+}
+
+/// A tenant name full of characters that need escaping survives the wire in
+/// both directions and shows up intact on the metrics endpoint.
+#[test]
+fn tenants_with_escaped_characters_are_served_end_to_end() {
+    let server = test_server(1, 8);
+    let tenant = "a\"b\\c\n😀";
+    let text = request(tenant, 1, JobOp::Compile).encode();
+    assert!(
+        !text.contains('\n'),
+        "the encoder escapes the line feed: {text}"
+    );
+    let response = server.submit_wire(&text).unwrap().wait().unwrap();
+    assert_eq!(response.tenant, tenant);
+    let decoded = json::parse(&response.encode()).unwrap();
+    assert_eq!(decoded.get("tenant").and_then(Value::as_str), Some(tenant));
+
+    let metrics = json::parse(&server.metrics_json()).unwrap();
+    let tenants = metrics.get("tenants").and_then(Value::as_array).unwrap();
+    let names: Vec<_> = tenants
+        .iter()
+        .filter_map(|t| t.get("tenant")?.as_str())
+        .collect();
+    assert_eq!(names, [tenant]);
 }
