@@ -60,7 +60,6 @@ fn config_fingerprint(set: &InstructionSet, config: &DecomposeConfig) -> u64 {
     config.bfgs.max_iters.hash(&mut h);
     config.bfgs.grad_tol.to_bits().hash(&mut h);
     config.bfgs.f_tol.to_bits().hash(&mut h);
-    config.bfgs.fd_step.to_bits().hash(&mut h);
     config.bfgs.c1.to_bits().hash(&mut h);
     config.bfgs.c2.to_bits().hash(&mut h);
     config.bfgs.max_line_search_steps.hash(&mut h);

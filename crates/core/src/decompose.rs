@@ -137,14 +137,14 @@ fn optimize_template(
 ) -> (Vec<f64>, f64) {
     // The objective is allocation-free: `Template::unitary` builds the 4×4
     // on the stack and the fidelity reduces it to a scalar in place. BFGS is
-    // steered by the analytic gradient of crate::gradient, which replaces the
-    // 2n central-difference probes per iteration with one prefix/suffix sweep.
+    // steered by the analytic gradient of crate::gradient (one prefix/suffix
+    // sweep), which writes into the optimizer's own buffer; the line search
+    // takes its directional derivatives from the same gradient, so the
+    // objective is only probed for the sufficient-decrease test.
     let objective =
         |params: &[f64]| 1.0 - hilbert_schmidt_fidelity(&template.unitary(params), target);
-    let gradient_fn = |params: &[f64]| {
-        let mut g = vec![0.0; params.len()];
-        crate::gradient::hs_objective_gradient(template, target, params, &mut g);
-        g
+    let gradient_fn = |params: &[f64], grad: &mut [f64]| {
+        crate::gradient::hs_objective_gradient(template, target, params, grad)
     };
     let n = template.parameter_count();
     // Start from all-zero angles (identity 1Q layers); restarts perturb this.

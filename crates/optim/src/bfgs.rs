@@ -17,8 +17,6 @@ pub struct BfgsOptions {
     pub grad_tol: f64,
     /// Convergence threshold on the decrease of the objective between iterations.
     pub f_tol: f64,
-    /// Finite-difference step for the numerical gradient.
-    pub fd_step: f64,
     /// Armijo (sufficient decrease) constant `c1` of the Wolfe conditions.
     pub c1: f64,
     /// Curvature constant `c2` of the Wolfe conditions.
@@ -33,7 +31,6 @@ impl Default for BfgsOptions {
             max_iters: 200,
             grad_tol: 1e-8,
             f_tol: 1e-12,
-            fd_step: 1e-6,
             c1: 1e-4,
             c2: 0.9,
             max_line_search_steps: 30,
@@ -60,9 +57,10 @@ pub struct OptimResult {
     pub x: Vec<f64>,
     /// Objective value at `x`.
     pub value: f64,
-    /// Number of outer iterations performed.
+    /// Number of accepted quasi-Newton steps.
     pub iterations: usize,
-    /// Number of objective evaluations (including gradient probes).
+    /// Number of callback invocations: one per call of the objective and one
+    /// per call of the gradient callback (which also returns the value).
     pub evaluations: usize,
     /// Whether a convergence criterion (gradient or f-decrease) was met.
     pub converged: bool,
@@ -71,18 +69,28 @@ pub struct OptimResult {
 }
 
 /// Minimizes `f` starting from `x0` using BFGS with the caller-supplied
-/// analytic gradient `grad`.
+/// analytic gradient `grad_fn`.
 ///
-/// The gradient must match `f` to central-difference accuracy (see
-/// [`crate::numerical_gradient`]); each gradient call is counted as a single
-/// evaluation in [`OptimResult::evaluations`].
-/// The strong-Wolfe line search still probes the objective directly, so only
-/// `f` is evaluated along the search direction.
+/// `grad_fn(x, g)` writes `∇f(x)` into `g` and returns `f(x)`; the gradient
+/// must match `f` to central-difference accuracy (see
+/// [`crate::numerical_gradient`]). One gradient call at `x0` supplies the
+/// starting value and gradient. The strong-Wolfe line search probes `f` for
+/// the sufficient-decrease test and takes the directional derivative
+/// `∇f(x + αp)·p` from `grad_fn`; the gradient at the accepted step is handed
+/// back to the BFGS update rather than recomputed, so a step that the line
+/// search accepts at once costs one `f` call and one gradient call. The
+/// inverse-Hessian update is a symmetric rank-2 correction applied in place,
+/// `O(n²)` per iteration with no allocation after setup.
 ///
 /// ```
 /// use optim::{minimize_bfgs_with_grad, BfgsOptions};
 /// let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-/// let grad = |x: &[f64]| x.iter().map(|v| 2.0 * v).collect::<Vec<_>>();
+/// let grad = |x: &[f64], g: &mut [f64]| {
+///     for (gi, xi) in g.iter_mut().zip(x) {
+///         *gi = 2.0 * xi;
+///     }
+///     sphere(x)
+/// };
 /// let r = minimize_bfgs_with_grad(&sphere, &grad, &[1.0, -2.0, 3.0], &BfgsOptions::default());
 /// assert!(r.value < 1e-12);
 /// assert!(r.converged);
@@ -95,83 +103,93 @@ pub fn minimize_bfgs_with_grad<F, G>(
 ) -> OptimResult
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
-    G: Fn(&[f64]) -> Vec<f64> + ?Sized,
+    G: Fn(&[f64], &mut [f64]) -> f64 + ?Sized,
 {
     let n = x0.len();
     assert!(n > 0, "cannot optimize a zero-dimensional problem");
-    let mut evaluations = 0usize;
-    let eval = |x: &[f64], evaluations: &mut usize| {
-        *evaluations += 1;
-        f(x)
-    };
-    let gradient = |x: &[f64], evaluations: &mut usize| {
-        *evaluations += 1;
-        grad_fn(x)
-    };
 
     let mut x = x0.to_vec();
-    let mut fx = eval(&x, &mut evaluations);
-    let mut grad = gradient(&x, &mut evaluations);
+    let mut grad = vec![0.0; n];
+    let mut fx = grad_fn(&x, &mut grad);
+    let mut evaluations = 1usize;
 
-    // Inverse Hessian approximation, initialized to the identity.
-    let mut h_inv = identity(n);
+    // Inverse Hessian approximation (row-major n×n), initialized to the
+    // identity, and the per-iteration vectors, all allocated once per run.
+    let mut h_inv = vec![0.0; n * n];
+    set_identity(&mut h_inv, n);
+    let mut p = vec![0.0; n];
+    let mut x_new = vec![0.0; n];
+    let mut grad_new = vec![0.0; n];
+    let mut s = vec![0.0; n];
+    let mut y = vec![0.0; n];
+    let mut hy = vec![0.0; n];
 
     let mut converged = false;
     let mut iterations = 0;
 
-    for iter in 0..opts.max_iters {
-        iterations = iter + 1;
-        let gnorm = norm(&grad);
-        if gnorm < opts.grad_tol {
+    for _ in 0..opts.max_iters {
+        if norm(&grad) < opts.grad_tol {
             converged = true;
             break;
         }
 
         // Search direction p = -H_inv * grad.
-        let mut p = mat_vec(&h_inv, &grad);
-        for v in &mut p {
-            *v = -*v;
+        for (pi, row) in p.iter_mut().zip(h_inv.chunks_exact(n)) {
+            *pi = -dot(row, &grad);
         }
         // Safeguard: if the direction is not a descent direction (numerical
         // breakdown), restart from steepest descent.
         if dot(&p, &grad) >= 0.0 {
-            h_inv = identity(n);
-            p = grad.iter().map(|g| -g).collect();
+            set_identity(&mut h_inv, n);
+            for (pi, gi) in p.iter_mut().zip(&grad) {
+                *pi = -gi;
+            }
         }
 
-        // Strong-Wolfe line search for step length alpha.
-        let (alpha, f_new, ls_evals) = wolfe_line_search(f, &x, fx, &grad, &p, opts);
-        evaluations += ls_evals;
+        // Strong-Wolfe line search for step length alpha. Its last gradient
+        // probe lands in `grad_new`.
+        let mut line = Line {
+            f,
+            grad_fn,
+            x: &x,
+            p: &p,
+            probe: &mut x_new,
+            grad: &mut grad_new,
+            grad_alpha: None,
+            evaluations: 0,
+        };
+        let (alpha, f_new) = wolfe_line_search(&mut line, fx, dot(&grad, &p), opts);
+        let grad_ready = line.grad_alpha == Some(alpha);
+        evaluations += line.evaluations;
         if alpha == 0.0 {
             // Line search failed to make progress; treat as converged to avoid
             // spinning.
             break;
         }
+        iterations += 1;
 
-        let x_new: Vec<f64> = x
-            .iter()
-            .zip(p.iter())
-            .map(|(xi, pi)| xi + alpha * pi)
-            .collect();
-        let grad_new = gradient(&x_new, &mut evaluations);
+        for ((xn, xi), pi) in x_new.iter_mut().zip(&x).zip(&p) {
+            *xn = xi + alpha * pi;
+        }
+        if !grad_ready {
+            grad_fn(&x_new, &mut grad_new);
+            evaluations += 1;
+        }
 
         // BFGS update of the inverse Hessian.
-        let s: Vec<f64> = x_new.iter().zip(x.iter()).map(|(a, b)| a - b).collect();
-        let y: Vec<f64> = grad_new
-            .iter()
-            .zip(grad.iter())
-            .map(|(a, b)| a - b)
-            .collect();
+        for i in 0..n {
+            s[i] = x_new[i] - x[i];
+            y[i] = grad_new[i] - grad[i];
+        }
         let sy = dot(&s, &y);
         if sy > 1e-12 {
-            let rho = 1.0 / sy;
-            h_inv = bfgs_update(&h_inv, &s, &y, rho);
+            bfgs_update(&mut h_inv, &s, &y, 1.0 / sy, &mut hy);
         }
 
         let f_decrease = fx - f_new;
-        x = x_new;
+        std::mem::swap(&mut x, &mut x_new);
+        std::mem::swap(&mut grad, &mut grad_new);
         fx = f_new;
-        grad = grad_new;
 
         if f_decrease.abs() < opts.f_tol && f_decrease >= 0.0 {
             converged = true;
@@ -189,115 +207,100 @@ where
     }
 }
 
-fn identity(n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|i| (0..n).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
-        .collect()
+/// Overwrites the row-major `n×n` matrix `m` with the identity.
+fn set_identity(m: &mut [f64], n: usize) {
+    m.fill(0.0);
+    for i in 0..n {
+        m[i * n + i] = 1.0;
+    }
 }
 
-fn mat_vec(m: &[Vec<f64>], v: &[f64]) -> Vec<f64> {
-    m.iter().map(|row| dot(row, v)).collect()
-}
-
-/// BFGS inverse-Hessian update:
-/// `H' = (I - rho s y^T) H (I - rho y s^T) + rho s s^T`.
-fn bfgs_update(h: &[Vec<f64>], s: &[f64], y: &[f64], rho: f64) -> Vec<Vec<f64>> {
+/// BFGS inverse-Hessian update, in place on the symmetric row-major `h`:
+///
+/// ```text
+/// H' = (I - rho s y^T) H (I - rho y s^T) + rho s s^T
+///    = H - rho (s v^T + v s^T) + (rho^2 y^T v + rho) s s^T,   v = H y
+/// ```
+///
+/// The rank-2 form costs `O(n²)` against the product form's `O(n³)`. Only the
+/// upper triangle is computed and mirrored, so `H'` is exactly symmetric.
+/// `hy` is scratch space for `v`.
+fn bfgs_update(h: &mut [f64], s: &[f64], y: &[f64], rho: f64, hy: &mut [f64]) {
     let n = s.len();
-    // A = I - rho * s y^T
-    let mut a = vec![vec![0.0; n]; n];
+    for (vi, row) in hy.iter_mut().zip(h.chunks_exact(n)) {
+        *vi = dot(row, y);
+    }
+    let v: &[f64] = hy;
+    let ss_coef = rho * rho * dot(y, v) + rho;
     for i in 0..n {
-        for j in 0..n {
-            a[i][j] = if i == j { 1.0 } else { 0.0 } - rho * s[i] * y[j];
+        for j in i..n {
+            let updated =
+                h[i * n + j] - rho * (s[i] * v[j] + v[i] * s[j]) + ss_coef * (s[i] * s[j]);
+            h[i * n + j] = updated;
+            h[j * n + i] = updated;
         }
     }
-    // H' = A H A^T + rho s s^T
-    let mut ah = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for k in 0..n {
-                acc += a[i][k] * h[k][j];
-            }
-            ah[i][j] = acc;
-        }
-    }
-    let mut out = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for k in 0..n {
-                acc += ah[i][k] * a[j][k];
-            }
-            out[i][j] = acc + rho * s[i] * s[j];
-        }
-    }
-    out
 }
 
-/// The one-dimensional restriction `phi(alpha) = f(x + alpha p)` with a single
-/// reusable probe buffer: line-search evaluations write `x + alpha p` in place
-/// instead of collecting a fresh `Vec` per objective call, so the search is
-/// allocation-free after construction. Together with the stack-allocated
-/// `SmallMat` objectives of gate decomposition, this keeps the whole BFGS
-/// inner loop off the heap.
-struct LineEval<'a, F: ?Sized> {
+/// The one-dimensional restriction `phi(alpha) = f(x + alpha p)` of one line
+/// search. Probes write `x + alpha p` into a reused buffer; `phi'(alpha)` is
+/// `∇f(x + alpha p)·p` from the analytic gradient, whose last value stays in
+/// `grad` (tagged with its step in `grad_alpha`) so the caller can take it
+/// for the accepted step.
+struct Line<'a, F: ?Sized, G: ?Sized> {
     f: &'a F,
+    grad_fn: &'a G,
     x: &'a [f64],
     p: &'a [f64],
-    probe: Vec<f64>,
-    fd_step: f64,
+    probe: &'a mut [f64],
+    grad: &'a mut [f64],
+    grad_alpha: Option<f64>,
+    evaluations: usize,
 }
 
-impl<F> LineEval<'_, F>
+impl<F, G> Line<'_, F, G>
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
+    G: Fn(&[f64], &mut [f64]) -> f64 + ?Sized,
 {
-    fn probe_at(&mut self, alpha: f64) -> f64 {
+    fn move_probe(&mut self, alpha: f64) {
         for ((slot, xi), pi) in self.probe.iter_mut().zip(self.x).zip(self.p) {
             *slot = xi + alpha * pi;
         }
-        (self.f)(&self.probe)
     }
 
-    fn phi(&mut self, alpha: f64, evals: &mut usize) -> f64 {
-        *evals += 1;
-        self.probe_at(alpha)
+    fn phi(&mut self, alpha: f64) -> f64 {
+        self.move_probe(alpha);
+        self.evaluations += 1;
+        (self.f)(self.probe)
     }
 
-    /// Directional derivative by central difference along `p`.
-    fn dphi(&mut self, alpha: f64, evals: &mut usize) -> f64 {
-        let h = self.fd_step;
-        *evals += 2;
-        (self.probe_at(alpha + h) - self.probe_at(alpha - h)) / (2.0 * h)
+    fn dphi(&mut self, alpha: f64) -> f64 {
+        self.move_probe(alpha);
+        self.evaluations += 1;
+        (self.grad_fn)(self.probe, self.grad);
+        self.grad_alpha = Some(alpha);
+        dot(self.grad, self.p)
     }
 }
 
-/// A bracketing + zoom line search enforcing the strong Wolfe conditions.
-/// Returns `(alpha, f(x + alpha p), evaluations)`; `alpha == 0` signals failure.
-fn wolfe_line_search<F>(
-    f: &F,
-    x: &[f64],
+/// A bracketing + zoom line search enforcing the strong Wolfe conditions,
+/// given `phi(0) = fx` and `phi'(0) = dphi0`. Returns
+/// `(alpha, f(x + alpha p))`; `alpha == 0` signals failure.
+fn wolfe_line_search<F, G>(
+    line: &mut Line<'_, F, G>,
     fx: f64,
-    grad: &[f64],
-    p: &[f64],
+    dphi0: f64,
     opts: &BfgsOptions,
-) -> (f64, f64, usize)
+) -> (f64, f64)
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
+    G: Fn(&[f64], &mut [f64]) -> f64 + ?Sized,
 {
-    let mut evals = 0usize;
     let phi0 = fx;
-    let dphi0 = dot(grad, p);
     if dphi0 >= 0.0 {
-        return (0.0, fx, evals);
+        return (0.0, fx);
     }
-    let mut line = LineEval {
-        f,
-        x,
-        p,
-        probe: vec![0.0; x.len()],
-        fd_step: opts.fd_step,
-    };
 
     let mut alpha_prev = 0.0;
     let mut phi_prev = phi0;
@@ -305,51 +308,44 @@ where
     let alpha_max = 10.0;
 
     for i in 0..opts.max_line_search_steps {
-        let phi_alpha = line.phi(alpha, &mut evals);
+        let phi_alpha = line.phi(alpha);
         if phi_alpha > phi0 + opts.c1 * alpha * dphi0 || (i > 0 && phi_alpha >= phi_prev) {
-            let (a, fa) = zoom(
-                &mut line, phi0, dphi0, alpha_prev, phi_prev, alpha, opts, &mut evals,
-            );
-            return (a, fa, evals);
+            return zoom(line, phi0, dphi0, alpha_prev, phi_prev, alpha, opts);
         }
-        let dphi_alpha = line.dphi(alpha, &mut evals);
+        let dphi_alpha = line.dphi(alpha);
         if dphi_alpha.abs() <= -opts.c2 * dphi0 {
-            return (alpha, phi_alpha, evals);
+            return (alpha, phi_alpha);
         }
         if dphi_alpha >= 0.0 {
-            let (a, fa) = zoom(
-                &mut line, phi0, dphi0, alpha, phi_alpha, alpha_prev, opts, &mut evals,
-            );
-            return (a, fa, evals);
+            return zoom(line, phi0, dphi0, alpha, phi_alpha, alpha_prev, opts);
         }
         alpha_prev = alpha;
         phi_prev = phi_alpha;
         alpha = (alpha * 2.0).min(alpha_max);
     }
     // Fall back to a simple backtracking result.
-    let phi_alpha = line.phi(alpha, &mut evals);
+    let phi_alpha = line.phi(alpha);
     if phi_alpha < phi0 {
-        (alpha, phi_alpha, evals)
+        (alpha, phi_alpha)
     } else {
-        (0.0, phi0, evals)
+        (0.0, phi0)
     }
 }
 
 /// The `zoom` procedure of Nocedal & Wright Algorithm 3.6, expressed on the
 /// one-dimensional restriction `phi(alpha) = f(x + alpha p)`.
-#[allow(clippy::too_many_arguments)]
-fn zoom<F>(
-    line: &mut LineEval<'_, F>,
+fn zoom<F, G>(
+    line: &mut Line<'_, F, G>,
     phi0: f64,
     dphi0: f64,
     mut alpha_lo: f64,
     mut phi_lo: f64,
     mut alpha_hi: f64,
     opts: &BfgsOptions,
-    evals: &mut usize,
 ) -> (f64, f64)
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
+    G: Fn(&[f64], &mut [f64]) -> f64 + ?Sized,
 {
     let mut best = (alpha_lo, phi_lo);
     for _ in 0..opts.max_line_search_steps {
@@ -358,14 +354,14 @@ where
         if (alpha_hi - alpha_lo).abs() < 1e-14 {
             break;
         }
-        let phi_alpha = line.phi(alpha, evals);
+        let phi_alpha = line.phi(alpha);
         if phi_alpha > phi0 + opts.c1 * alpha * dphi0 || phi_alpha >= phi_lo {
             alpha_hi = alpha;
         } else {
             if phi_alpha < best.1 {
                 best = (alpha, phi_alpha);
             }
-            let dphi_alpha = line.dphi(alpha, evals);
+            let dphi_alpha = line.dphi(alpha);
             if dphi_alpha.abs() <= -opts.c2 * dphi0 {
                 return (alpha, phi_alpha);
             }
@@ -387,10 +383,16 @@ where
 mod tests {
     use super::*;
     use crate::numerical_gradient;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
 
     /// BFGS steered by the central-difference gradient oracle.
     fn minimize_numeric(f: &dyn Fn(&[f64]) -> f64, x0: &[f64], opts: &BfgsOptions) -> OptimResult {
-        let grad = |x: &[f64]| numerical_gradient(f, x, opts.fd_step);
+        let grad = |x: &[f64], g: &mut [f64]| {
+            g.copy_from_slice(&numerical_gradient(f, x, 1e-6));
+            f(x)
+        };
         minimize_bfgs_with_grad(f, &grad, x0, opts)
     }
 
@@ -461,11 +463,10 @@ mod tests {
     #[test]
     fn analytic_gradient_matches_numerical_path() {
         let rosen = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-        let rosen_grad = |x: &[f64]| {
-            vec![
-                -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
-                200.0 * (x[1] - x[0] * x[0]),
-            ]
+        let rosen_grad = |x: &[f64], g: &mut [f64]| {
+            g[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
+            g[1] = 200.0 * (x[1] - x[0] * x[0]);
+            rosen(x)
         };
         let numeric = minimize_numeric(&rosen, &[-1.2, 1.0], &BfgsOptions::default());
         let analytic =
@@ -482,9 +483,152 @@ mod tests {
     #[test]
     fn analytic_gradient_evaluation_accounting() {
         let sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let grad = |x: &[f64]| x.iter().map(|v| 2.0 * v).collect::<Vec<_>>();
-        let r = minimize_bfgs_with_grad(&sphere, &grad, &[2.0, -1.0], &BfgsOptions::default());
+        let calls = Cell::new(0usize);
+        let counted_sphere = |x: &[f64]| {
+            calls.set(calls.get() + 1);
+            sphere(x)
+        };
+        let grad = |x: &[f64], g: &mut [f64]| {
+            calls.set(calls.get() + 1);
+            for (gi, xi) in g.iter_mut().zip(x) {
+                *gi = 2.0 * xi;
+            }
+            sphere(x)
+        };
+        let r = minimize_bfgs_with_grad(
+            &counted_sphere,
+            &grad,
+            &[2.0, -1.0],
+            &BfgsOptions::default(),
+        );
         assert!(r.converged);
         assert!(r.value < 1e-12);
+        // Every objective and every gradient call is one evaluation.
+        assert_eq!(r.evaluations, calls.get());
+    }
+
+    /// Row-major `n×n` product `a·b`.
+    fn mat_mul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                for j in 0..n {
+                    out[i * n + j] += a[i * n + k] * b[k * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// The textbook product form `(I - rho s y^T) H (I - rho y s^T) + rho s s^T`.
+    fn product_form_update(h: &[f64], s: &[f64], y: &[f64], rho: f64) -> Vec<f64> {
+        let n = s.len();
+        let mut a = vec![0.0; n * n];
+        let mut a_t = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let delta = if i == j { 1.0 } else { 0.0 };
+                a[i * n + j] = delta - rho * s[i] * y[j];
+                a_t[i * n + j] = delta - rho * y[i] * s[j];
+            }
+        }
+        let mut out = mat_mul(&mat_mul(&a, h, n), &a_t, n);
+        for i in 0..n {
+            for j in 0..n {
+                out[i * n + j] += rho * s[i] * s[j];
+            }
+        }
+        out
+    }
+
+    /// A seeded random SPD matrix `M Mᵀ + I` and a curvature pair `(s, y)`
+    /// with `y = B s` for another random SPD `B`, so `sᵀy > 0`.
+    fn random_update_inputs(n: usize, rng: &mut ChaCha8Rng) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let spd = |rng: &mut ChaCha8Rng| {
+            let m: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut out = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..n {
+                    out[i * n + j] = (0..n).map(|k| m[i * n + k] * m[j * n + k]).sum::<f64>();
+                }
+                out[i * n + i] += 1.0;
+            }
+            out
+        };
+        let h = spd(rng);
+        let b = spd(rng);
+        let s: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let y: Vec<f64> = b.chunks_exact(n).map(|row| dot(row, &s)).collect();
+        (h, s, y)
+    }
+
+    #[test]
+    fn rank_two_update_matches_the_product_form() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for n in [6, 24, 42] {
+            for _ in 0..4 {
+                let (mut h, s, y) = random_update_inputs(n, &mut rng);
+                let rho = 1.0 / dot(&s, &y);
+                let expected = product_form_update(&h, &s, &y, rho);
+                bfgs_update(&mut h, &s, &y, rho, &mut vec![0.0; n]);
+                let diff = h
+                    .iter()
+                    .zip(&expected)
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f64>()
+                    .sqrt();
+                let rel = diff / norm(&expected);
+                assert!(rel < 1e-12, "n = {n}: relative error {rel:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn rank_two_update_is_exactly_symmetric() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        for n in [6, 24, 42] {
+            let (mut h, s, y) = random_update_inputs(n, &mut rng);
+            // Several chained updates from a symmetric start.
+            let mut hy = vec![0.0; n];
+            for k in 0..5 {
+                let sk: Vec<f64> = s.iter().map(|v| v * (k as f64 + 1.0)).collect();
+                let yk: Vec<f64> = y
+                    .iter()
+                    .zip(&s)
+                    .map(|(a, b)| a + 0.1 * k as f64 * b)
+                    .collect();
+                bfgs_update(&mut h, &sk, &yk, 1.0 / dot(&sk, &yk), &mut hy);
+                for i in 0..n {
+                    for j in 0..n {
+                        assert_eq!(h[i * n + j].to_bits(), h[j * n + i].to_bits(), "n = {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accepted_steps_reuse_the_line_search_gradient() {
+        // A strictly convex quadratic with curvatures in [0.5, 1.5]: the unit
+        // step from the identity Hessian already satisfies both Wolfe
+        // conditions, and BFGS steps keep doing so, so each iteration makes
+        // exactly one gradient call (the curvature probe at alpha = 1) and
+        // hands it to the update.
+        let curv = [0.5, 0.8, 1.0, 1.2, 1.5, 0.9];
+        let f = |x: &[f64]| 0.5 * x.iter().zip(&curv).map(|(v, a)| a * v * v).sum::<f64>();
+        let grad_calls = Cell::new(0usize);
+        let grad = |x: &[f64], g: &mut [f64]| {
+            grad_calls.set(grad_calls.get() + 1);
+            for ((gi, xi), a) in g.iter_mut().zip(x).zip(&curv) {
+                *gi = a * xi;
+            }
+            f(x)
+        };
+        let x0 = [1.0, -2.0, 0.5, 3.0, -1.0, 2.0];
+        let r = minimize_bfgs_with_grad(&f, &grad, &x0, &BfgsOptions::default());
+        assert!(r.converged);
+        assert!(r.value < 1e-12, "value = {}", r.value);
+        assert!(r.iterations > 1);
+        assert_eq!(grad_calls.get(), 1 + r.iterations);
     }
 }

@@ -17,11 +17,11 @@
 //!
 //! // Rosenbrock function: minimum 0 at (1, 1).
 //! let rosen = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-//! let grad = |x: &[f64]| {
-//!     vec![
-//!         -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
-//!         200.0 * (x[1] - x[0] * x[0]),
-//!     ]
+//! // The gradient callback writes the gradient and returns the value.
+//! let grad = |x: &[f64], g: &mut [f64]| {
+//!     g[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
+//!     g[1] = 200.0 * (x[1] - x[0] * x[0]);
+//!     rosen(x)
 //! };
 //! let result = minimize_bfgs_with_grad(&rosen, &grad, &[-1.2, 1.0], &BfgsOptions::default());
 //! assert!(result.value < 1e-8);
@@ -38,10 +38,11 @@ pub use multistart::{multistart_minimize_with_grad, MultistartOptions};
 
 /// Central-difference numerical gradient of `f` at `x` with step `h`.
 ///
-/// The test oracle for analytic gradients (and a drop-in `grad` for
-/// [`minimize_bfgs_with_grad`] on objectives without one); `h = 1e-6` is a
-/// good default for the smooth trigonometric objectives of gate
-/// decomposition.
+/// The test oracle for analytic gradients; wrapped as
+/// `|x, g| { g.copy_from_slice(&numerical_gradient(&f, x, h)); f(x) }` it also
+/// steers [`minimize_bfgs_with_grad`] on objectives without one, at `2n`
+/// objective calls per gradient. `h = 1e-6` is a good default for the smooth
+/// trigonometric objectives of gate decomposition.
 pub fn numerical_gradient<F>(f: &F, x: &[f64], h: f64) -> Vec<f64>
 where
     F: Fn(&[f64]) -> f64 + ?Sized,

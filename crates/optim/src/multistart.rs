@@ -46,7 +46,10 @@ impl Default for MultistartOptions {
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 /// // A multi-modal objective where the global minimum is at x = 0.
 /// let f = |x: &[f64]| 1.0 - (x[0].cos()).powi(2) + 0.05 * x[0].abs();
-/// let grad = |x: &[f64]| vec![(2.0 * x[0]).sin() + 0.05 * x[0].signum()];
+/// let grad = |x: &[f64], g: &mut [f64]| {
+///     g[0] = (2.0 * x[0]).sin() + 0.05 * x[0].signum();
+///     f(x)
+/// };
 /// let r = multistart_minimize_with_grad(&f, &grad, &[2.0], &MultistartOptions::default(), &mut rng);
 /// assert!(r.value < 0.2);
 /// ```
@@ -59,7 +62,7 @@ pub fn multistart_minimize_with_grad<F, G, R>(
 ) -> OptimResult
 where
     F: Fn(&[f64]) -> f64 + ?Sized,
-    G: Fn(&[f64]) -> Vec<f64> + ?Sized,
+    G: Fn(&[f64], &mut [f64]) -> f64 + ?Sized,
     R: Rng + ?Sized,
 {
     assert!(opts.restarts >= 1, "multistart needs at least one start");
@@ -103,7 +106,10 @@ mod tests {
         opts: &MultistartOptions,
         rng: &mut ChaCha8Rng,
     ) -> OptimResult {
-        let grad = |x: &[f64]| numerical_gradient(f, x, opts.bfgs.fd_step);
+        let grad = |x: &[f64], g: &mut [f64]| {
+            g.copy_from_slice(&numerical_gradient(f, x, 1e-6));
+            f(x)
+        };
         multistart_minimize_with_grad(f, &grad, x0, opts, rng)
     }
 
@@ -125,7 +131,11 @@ mod tests {
     #[test]
     fn gradient_variant_matches_numerical_multistart() {
         let f = |x: &[f64]| (1.0 - x[0].cos()) + 0.3 * x[0].abs() + x[1] * x[1];
-        let g = |x: &[f64]| vec![x[0].sin() + 0.3 * x[0].signum(), 2.0 * x[1]];
+        let g = |x: &[f64], g: &mut [f64]| {
+            g[0] = x[0].sin() + 0.3 * x[0].signum();
+            g[1] = 2.0 * x[1];
+            f(x)
+        };
         let opts = MultistartOptions {
             restarts: 8,
             spread: 6.0,
@@ -164,7 +174,10 @@ mod tests {
             ..MultistartOptions::default()
         };
         let multi = multistart_numeric(&sphere, &[2.0, -3.0], &opts, &mut rng);
-        let grad = |x: &[f64]| numerical_gradient(&sphere, x, opts.bfgs.fd_step);
+        let grad = |x: &[f64], g: &mut [f64]| {
+            g.copy_from_slice(&numerical_gradient(&sphere, x, 1e-6));
+            sphere(x)
+        };
         let plain = minimize_bfgs_with_grad(&sphere, &grad, &[2.0, -3.0], &opts.bfgs);
         assert!((multi.value - plain.value).abs() < 1e-12);
     }
